@@ -9,16 +9,15 @@ workload onto the cloud hardware.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import difflib
 import io
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import CatalogError
+from .table import read_table
 
 CATALOG_COLUMNS = ("model_name", "spec_score", "tdp_watts", "release_date", "cores", "cloud")
 
@@ -130,35 +129,9 @@ def load_catalog(source, cloud_reference: str | None = None) -> Catalog:
     cloud-flagged entry with the newest release date is used (ties broken
     by model name).
     """
-    if hasattr(source, "read"):
-        return _load_catalog_stream(source, cloud_reference)
-    path = Path(source)
-    try:
-        stream = path.open("r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-    with stream:
-        return _load_catalog_stream(stream, cloud_reference)
-
-
-def _load_catalog_stream(stream, cloud_reference: str | None) -> Catalog:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CatalogError("catalog file is empty") from None
-    if tuple(h.strip() for h in header) != CATALOG_COLUMNS:
-        raise CatalogError(
-            f"line 1: expected header {','.join(CATALOG_COLUMNS)!r}, got {','.join(header)!r}"
-        )
-
     entries: dict[str, CpuSpec] = {}
     seen_lines: dict[str, int] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(CATALOG_COLUMNS):
-            raise CatalogError(f"line {line}: expected {len(CATALOG_COLUMNS)} fields, got {len(row)}")
+    for line, row in read_table(source, CATALOG_COLUMNS, CatalogError, "catalog"):
         name = row[0].strip()
         if name in entries:
             raise CatalogError(

@@ -26,7 +26,7 @@ from . import synth as synth_mod
 from .catalog import bundled_catalog, compute_ce, lift_and_shift_fraction, load_catalog
 from .energy import DEFAULT_IDLE_FRACTION, DEFAULT_LINEAR_MIX, EnergyModel
 from .errors import FleetError, InsufficientDataError, MigrentError
-from .report import dumps_stable
+from .report import dumps_stable, format_float
 from .scenarios import BASELINES, BASELINE_LIFT_AND_SHIFT, MachineRecord, analyze_machine
 from .trace import (
     DEFAULT_MIN_DAYS,
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("manifest", help="manifest CSV (machine_id,trace_path,cpu_model,datacenter_id)")
     p_fleet.add_argument("--emit-csv", dest="emit_csv", metavar="DIR",
                          help="also write CDF/table CSVs into DIR")
-    p_fleet.add_argument("--jobs", type=int, default=None, help="worker processes (default: 1)")
+    p_fleet.add_argument("--jobs", type=int, default=None, help="worker processes (default: the number of CPUs)")
     _add_shared_options(p_fleet)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic fleet corpus")
@@ -335,7 +335,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return EXIT_OK
     on_prem = catalog.lookup(args.on_prem)
     cloud = catalog.lookup(args.cloud) if args.cloud else catalog.cloud_spec
-    print(f"{lift_and_shift_fraction(on_prem, cloud):.6g}")
+    print(format_float(lift_and_shift_fraction(on_prem, cloud)))
     return EXIT_OK
 
 

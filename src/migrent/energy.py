@@ -14,15 +14,14 @@ utilization ``u / c`` and draws ``power(u / c) * c``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import MigrentError
+from .table import read_table
 
 DEFAULT_IDLE_FRACTION = 0.33
 DEFAULT_LINEAR_MIX = 0.36
@@ -124,33 +123,8 @@ def marginal_gain_threshold(model: EnergyModel) -> float:
 
 def load_power_samples(source) -> list[PowerSample]:
     """Parse measured power-curve points from a two-column CSV."""
-    if hasattr(source, "read"):
-        return _load_samples_stream(source)
-    path = Path(source)
-    try:
-        stream = path.open("r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise MigrentError(f"cannot read power samples {path}: {exc}") from exc
-    with stream:
-        return _load_samples_stream(stream)
-
-
-def _load_samples_stream(stream) -> list[PowerSample]:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MigrentError("power sample file is empty") from None
-    if tuple(h.strip() for h in header) != POWER_SAMPLE_COLUMNS:
-        raise MigrentError(
-            f"line 1: expected header {','.join(POWER_SAMPLE_COLUMNS)!r}, got {','.join(header)!r}"
-        )
     samples = []
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise MigrentError(f"line {line}: expected 2 fields, got {len(row)}")
+    for line, row in read_table(source, POWER_SAMPLE_COLUMNS, MigrentError, "power sample"):
         try:
             percent = float(row[0])
             power = float(row[1])

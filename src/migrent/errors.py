@@ -9,7 +9,16 @@ from __future__ import annotations
 
 
 class MigrentError(Exception):
-    """Base class for all data and input errors raised by this package."""
+    """Base class for all data and input errors raised by this package.
+
+    Carries the 1-based source line when the error points into a file.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class CatalogError(MigrentError):
@@ -17,13 +26,7 @@ class CatalogError(MigrentError):
 
 
 class TraceError(MigrentError):
-    """Malformed utilization trace. Carries the 1-based source line if known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed utilization trace."""
 
 
 class ManifestError(MigrentError):

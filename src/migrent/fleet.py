@@ -20,6 +20,7 @@ import numpy as np
 from .catalog import Catalog
 from .energy import EnergyModel
 from .errors import FleetError, ManifestError, MigrentError
+from .report import format_float
 from .scenarios import (
     BASELINE_LIFT_AND_SHIFT,
     SCENARIO_NAMES,
@@ -27,6 +28,7 @@ from .scenarios import (
     ScenarioReport,
     analyze_machine,
 )
+from .table import read_table
 from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
@@ -61,34 +63,9 @@ class Exclusion:
 
 def load_manifest(source) -> list[ManifestEntry]:
     """Parse a fleet manifest CSV; machine ids must be unique."""
-    if hasattr(source, "read"):
-        return _load_manifest_stream(source)
-    path = Path(source)
-    try:
-        stream = path.open("r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    with stream:
-        return _load_manifest_stream(stream)
-
-
-def _load_manifest_stream(stream) -> list[ManifestEntry]:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError("manifest file is empty") from None
-    if tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
-        raise ManifestError(
-            f"line 1: expected header {','.join(MANIFEST_COLUMNS)!r}, got {','.join(header)!r}"
-        )
     entries: list[ManifestEntry] = []
     seen: dict[str, int] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(MANIFEST_COLUMNS):
-            raise ManifestError(f"line {line}: expected {len(MANIFEST_COLUMNS)} fields, got {len(row)}")
+    for line, row in read_table(source, MANIFEST_COLUMNS, ManifestError, "manifest"):
         machine_id = row[0].strip()
         if not machine_id:
             raise ManifestError(f"line {line}: machine_id must be non-empty")
@@ -364,7 +341,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.6g}"
+        return format_float(value)
     return str(value)
 
 

@@ -10,10 +10,15 @@ from __future__ import annotations
 import json
 
 
+def format_float(value: float) -> str:
+    """A float as text with 6 significant digits, the precision of all output."""
+    return f"{value:.6g}"
+
+
 def round_floats(obj):
     """Recursively round every float to 6 significant digits."""
     if isinstance(obj, float):
-        return float(f"{obj:.6g}")
+        return float(format_float(obj))
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -8,7 +8,6 @@ irregular grid.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, TraceError
+from .table import read_bytes, read_table
 
 TRACE_COLUMNS = ("timestamp", "cpu_utilization_percent")
 
@@ -115,52 +115,41 @@ def parse_trace(source, machine_id: str | None = None) -> UtilizationTrace:
     ``source`` may be a path or an open text stream. Percent values must lie
     in [0, 100] and are converted to fractions. All errors name the 1-based
     line they were found on.
+
+    A file exactly as ``write_trace`` emits it is parsed a column at a time;
+    any other file goes through the row loop, which alone produces errors.
     """
     if hasattr(source, "read"):
-        return _parse_trace_stream(source, machine_id or "trace")
+        return _parse_rows(source, machine_id or "trace")
     path = Path(source)
-    try:
-        stream = path.open("r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path}: {exc}") from exc
-    with stream:
-        return _parse_trace_stream(stream, machine_id or path.stem)
+    data = read_bytes(path, TraceError, "trace")
+    columns = _parse_canonical(data)
+    if columns is None:
+        return _parse_rows(data, machine_id or path.stem)
+    return UtilizationTrace(machine_id or path.stem, *columns)
 
 
-def _parse_trace_stream(stream, machine_id: str) -> UtilizationTrace:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceError("trace file is empty") from None
-    if tuple(h.strip() for h in header) != TRACE_COLUMNS:
-        raise TraceError(
-            f"expected header {','.join(TRACE_COLUMNS)!r}, got {','.join(header)!r}", line=1
-        )
-
+def _parse_rows(source, machine_id: str) -> UtilizationTrace:
+    """The row loop: any ISO-8601 stamp, any float, errors with line numbers."""
     times: list[float] = []
     values: list[float] = []
     prev = -math.inf
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise TraceError(f"expected 2 fields, got {len(row)}", line=line)
+    for line, (stamp_text, percent_text) in read_table(source, TRACE_COLUMNS, TraceError, "trace"):
         try:
-            stamp = parse_timestamp(row[0])
+            stamp = parse_timestamp(stamp_text)
         except ValueError:
-            raise TraceError(f"bad timestamp {row[0]!r}", line=line) from None
+            raise TraceError(f"bad timestamp {stamp_text!r}", line=line) from None
         try:
-            percent = float(row[1])
+            percent = float(percent_text)
         except ValueError:
-            raise TraceError(f"bad utilization {row[1]!r}", line=line) from None
+            raise TraceError(f"bad utilization {percent_text!r}", line=line) from None
         if math.isnan(percent) or not 0.0 <= percent <= 100.0:
             raise TraceError(
-                f"utilization must be in [0, 100] percent, got {row[1]}", line=line
+                f"utilization must be in [0, 100] percent, got {percent_text}", line=line
             )
         if stamp <= prev:
             raise TraceError(
-                f"timestamp {row[0]} is not after the previous sample", line=line
+                f"timestamp {stamp_text} is not after the previous sample", line=line
             )
         prev = stamp
         times.append(stamp)
@@ -171,22 +160,116 @@ def _parse_trace_stream(stream, machine_id: str) -> UtilizationTrace:
     return UtilizationTrace(machine_id, np.array(times), np.array(values))
 
 
+# write_trace's form, which parse_trace reads a column at a time: this header,
+# then rows of "YYYY-MM-DDTHH:MM:SSZ," (the head; '0' in the template marks a
+# digit) and a percent of digits and '.'.
+_HEADER_LINE = ",".join(TRACE_COLUMNS) + "\n"
+_HEAD_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
+_STAMP_WIDTH = 19
+# write_trace emits at most 8 ("100.0000"); the bound keeps one long field
+# from sizing the rows x width matrix the percents are gathered into
+_MAX_PERCENT_WIDTH = 32
+
+
+def _is_digit(column: np.ndarray) -> np.ndarray:
+    return column - np.uint8(48) <= 9  # bytes below '0' wrap past 9
+
+
+def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(times, values) of a file in write_trace's exact form, else None.
+
+    Works on byte columns gathered with ``np.take``, so no Python object is
+    made per row. Returns None for anything the row loop might read
+    differently or reject: other headers, layouts or line endings, blank
+    rows, fewer than two rows, year 0000, impossible dates, percents
+    outside [0, 100] and times that do not increase.
+    """
+    if not data.startswith(_HEADER_LINE.encode()) or not data.endswith(b"\n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    widths = np.diff(newlines) - (_HEAD_TEMPLATE.size + 1)  # of the percent fields
+    starts = newlines[:-1]
+    starts += 1  # a view: row starts overwrite the newlines, which are not needed again
+    if starts.size < 2 or not 1 <= widths.min() <= widths.max() <= _MAX_PERCENT_WIDTH:
+        return None
+    seconds = _gather_seconds(buf, starts)
+    if seconds is None or not np.all(np.diff(seconds) > 0):
+        return None
+    values = _gather_percents(buf, starts + _HEAD_TEMPLATE.size, widths)
+    if values is None or not (np.all(values >= 0.0) and np.all(values <= 100.0)):
+        return None
+    values /= 100.0
+    return seconds.astype(np.float64), values
+
+
+def _gather_seconds(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
+    """POSIX seconds of the row heads at ``starts``, or None if one is off-form."""
+    stamps = np.empty((starts.size, _STAMP_WIDTH), dtype=np.uint8)
+    for j, expected in enumerate(_HEAD_TEMPLATE):
+        column = np.take(buf, starts + j)
+        if not (_is_digit(column) if expected == 48 else column == expected).all():
+            return None
+        if j < _STAMP_WIDTH:
+            stamps[:, j] = column
+    if (stamps[:, :4] == 48).all(axis=1).any():  # year 0000
+        return None
+    try:
+        return stamps.view(f"S{_STAMP_WIDTH}").ravel().astype("datetime64[s]").view(np.int64)
+    except ValueError:  # Feb 30, hour 24, second 60, ...
+        return None
+
+
+def _gather_percents(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
+    """The digits-and-dots fields at ``starts`` as floats, or None."""
+    fields = np.empty((starts.size, int(widths.max())), dtype=np.uint8)
+    for j in range(fields.shape[1]):
+        column = np.take(buf, starts + j, mode="clip")
+        inside = j < widths
+        if not (~inside | _is_digit(column) | (column == 46)).all():
+            return None
+        fields[:, j] = np.where(inside, column, 32)  # space-pad the short fields
+    try:
+        return fields.view(f"S{fields.shape[1]}").ravel().astype(np.float64)
+    except ValueError:  # "1.2.3", "."
+        return None
+
+
 def write_trace(trace: UtilizationTrace, dest) -> None:
     """Write a trace back to CSV in the same format parse_trace reads."""
+    text = _HEADER_LINE + "".join(
+        f"{stamp}Z,{percent:.4f}\n"
+        for stamp, percent in zip(_format_stamps(trace.times), (trace.values * 100.0).tolist())
+    )
     if hasattr(dest, "write"):
-        _write_trace_stream(trace, dest)
+        dest.write(text)
         return
     path = Path(dest)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as stream:
-        _write_trace_stream(trace, stream)
+        stream.write(text)
 
 
-def _write_trace_stream(trace: UtilizationTrace, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for stamp, value in zip(trace.times, trace.values):
-        writer.writerow((format_timestamp(float(stamp)), f"{value * 100.0:.4f}"))
+# The split below matches datetime.fromtimestamp from 1970 to the year 9999.
+# Before 1970 it borrows a second for the negative fraction, and after 9999
+# it raises; outside the span format_timestamp runs row by row.
+_FAST_FORMAT_RANGE = (0.0, dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=_UTC).timestamp())
+
+
+def _format_stamps(times: np.ndarray) -> list[str]:
+    """format_timestamp for every element, without its trailing 'Z'.
+
+    Rounds to microseconds exactly as datetime.fromtimestamp does: split off
+    the whole seconds and round the rest half-even. A rest that rounds to a
+    full second carries into the sum below.
+    """
+    lo, hi = _FAST_FORMAT_RANGE
+    if not (lo <= times[0] and times[-1] < hi):  # times increase
+        return [format_timestamp(float(t))[:-1] for t in times]
+    whole = np.trunc(times)
+    micros = np.round((times - whole) * 1e6)
+    stamps = (whole.astype(np.int64) * 1_000_000 + micros.astype(np.int64)).astype("datetime64[us]")
+    return [s.rstrip("0").rstrip(".") for s in np.datetime_as_string(stamps, unit="us").tolist()]
 
 
 def smooth(trace: UtilizationTrace, window_seconds: float = DEFAULT_WINDOW_SECONDS) -> UtilizationTrace:

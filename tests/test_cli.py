@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -189,6 +190,26 @@ class TestFleet:
         assert payload["machines_excluded"] == 1
         assert payload["exclusions"][0]["machine_id"] == "ghost"
 
+    @pytest.mark.parametrize("bad_trace", [
+        pytest.param(random.Random(3).randbytes(3072), id="random-bytes"),
+        pytest.param(
+            b"timestamp,cpu_utilization_percent\n2016-06-01T00:00:00Z," + b"1" * 140_000 + b"\n",
+            id="field-over-csv-limit",
+        ),
+    ])
+    def test_unreadable_trace_is_excluded(self, capsys, corpus, tmp_path, bad_trace):
+        (tmp_path / "bad.csv").write_bytes(bad_trace)
+        (tmp_path / "good.csv").symlink_to(corpus / "traces" / "m0000.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "machine_id,trace_path,cpu_model,datacenter_id\n"
+            "good,good.csv,fx-quad-2011,dc000\n"
+            "bad,bad.csv,fx-quad-2011,dc000\n"
+        )
+        payload = run_json(capsys, "fleet", str(manifest), "--targets", "0.8", "--jobs", "1")
+        assert payload["machines_analyzed"] == 1
+        assert [e["machine_id"] for e in payload["exclusions"]] == ["bad"]
+
     def test_all_failures_exit_4(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(
@@ -198,6 +219,12 @@ class TestFleet:
         code, _, err = run(capsys, "fleet", str(manifest), "--targets", "0.8")
         assert code == 4
         assert error_payload(err)["type"] == "FleetError"
+
+    def test_jobs_help_names_the_cpu_count_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fleet", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "worker processes (default: the number of CPUs)" in help_text
 
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fleet", str(tmp_path / "none.csv"))

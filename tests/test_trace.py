@@ -5,6 +5,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from migrent import (
     InsufficientDataError,
@@ -20,7 +22,7 @@ from migrent import (
     smooth,
     write_trace,
 )
-from migrent.trace import format_timestamp, parse_timestamp
+from migrent.trace import _parse_canonical, _parse_rows, format_timestamp, parse_timestamp
 
 from conftest import POSIX_2016_06_01, constant_trace, make_trace
 from oracles import nearest_rank_ref, riemann, smooth_ref
@@ -88,6 +90,12 @@ class TestParseTrace:
         ]))
         assert trace.times[0] == POSIX_2016_06_01
 
+    def test_posix_seconds_rejected(self, tmp_path):
+        path = tmp_path / "posix.csv"
+        path.write_text("timestamp,cpu_utilization_percent\n1464739200,50\n1464739230,50\n")
+        with pytest.raises(TraceError, match=r"^line 2: bad timestamp '1464739200'$"):
+            parse_trace(path)
+
     def test_round_trip_through_write(self, tmp_path):
         trace = make_trace(POSIX_2016_06_01 + np.array([0.0, 30.0, 60.0]), [0.1, 0.52345, 0.9])
         path = tmp_path / "t.csv"
@@ -95,6 +103,122 @@ class TestParseTrace:
         back = parse_trace(path)
         assert np.array_equal(back.times, trace.times)
         assert np.allclose(back.values, trace.values, atol=1e-6)
+
+
+_EPOCH = dt.datetime(1970, 1, 1)
+_ROW_FORMS = {
+    # each takes the canonical stamp and percent of one row and returns its text
+    None: lambda stamp, pct: f"{stamp},{pct}\n",
+    "offset": lambda stamp, pct: f"{stamp[:-1]}+02:00,{pct}\n",
+    "lowercase z": lambda stamp, pct: f"{stamp[:-1]}z,{pct}\n",
+    "naive": lambda stamp, pct: f"{stamp[:-1]},{pct}\n",
+    "space separator": lambda stamp, pct: f"{stamp.replace('T', ' ')},{pct}\n",
+    "crlf": lambda stamp, pct: f"{stamp},{pct}\r\n",
+    "blank row": lambda stamp, pct: f"\n{stamp},{pct}\n",
+    "quoted": lambda stamp, pct: f'"{stamp}",{pct}\n',
+    "fractional seconds": lambda stamp, pct: f"{stamp[:-1]}.5Z,{pct}\n",
+    "year 0000": lambda stamp, pct: f"0000-01-01{stamp[10:]},{pct}\n",
+    "february 30": lambda stamp, pct: f"2016-02-30{stamp[10:]},{pct}\n",
+    "hour 24": lambda stamp, pct: f"{stamp[:11]}24{stamp[13:]},{pct}\n",
+    "nan": lambda stamp, pct: f"{stamp},nan\n",
+    "exponent": lambda stamp, pct: f"{stamp},1e2\n",
+    "leading space": lambda stamp, pct: f"{stamp}, 5\n",
+    "over 100": lambda stamp, pct: f"{stamp},101\n",
+    "third field": lambda stamp, pct: f"{stamp},{pct},x\n",
+    "no final newline": lambda stamp, pct: f"{stamp},{pct}",
+}
+
+
+@st.composite
+def trace_files(draw):
+    """A trace file in write_trace's form, or one with a single row changed."""
+    n = draw(st.integers(2, 12))
+    start = draw(st.integers(-62_135_596_800, 253_402_300_799 - 12 * 10**6))
+    gaps = draw(st.lists(st.integers(1, 10**6), min_size=n - 1, max_size=n - 1))
+    seconds = np.cumsum([start, *gaps]).tolist()
+    stamps = [(_EPOCH + dt.timedelta(seconds=s)).isoformat() + "Z" for s in seconds]
+    percents = [
+        f"{v:.{d}f}" for v, d in draw(st.lists(
+            st.tuples(st.floats(0.0, 100.0), st.integers(0, 8)), min_size=n, max_size=n))
+    ]
+    kind = draw(st.sampled_from(list(_ROW_FORMS)))
+    where = n - 1 if kind == "no final newline" else draw(st.integers(0, n - 1))
+    rows = [_ROW_FORMS[kind if i == where else None](s, p) for i, (s, p) in enumerate(zip(stamps, percents))]
+    return kind, ("timestamp,cpu_utilization_percent\n" + "".join(rows)).encode()
+
+
+def _outcome(parse):
+    try:
+        trace = parse()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return trace.times.tobytes(), trace.values.tobytes()
+
+
+class TestColumnParseMatchesRowLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=trace_files())
+    def test_same_arrays_or_same_error(self, case, tmp_path):
+        kind, data = case
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert (_parse_canonical(data) is not None) == (kind is None)
+        assert _outcome(lambda: parse_trace(path, "m")) == _outcome(lambda: _parse_rows(data, "m"))
+
+    @pytest.mark.parametrize("rows", [
+        ["2016-06-01T00:00:00Z,5", "2016-06-01T00:00:00Z,6"],
+        ["2016-06-01T00:00:30Z,5", "2016-06-01T00:00:00Z,6"],
+        ["2016-06-01T00:00:00Z,5"],
+        ["2016-06-01T00:00:00Z,1.2.3", "2016-06-01T00:00:30Z,6"],
+        ["2016-06-01T00:00:00Z,.", "2016-06-01T00:00:30Z,6"],
+        ["2016-13-01T00:00:00Z,5", "2016-06-01T00:00:30Z,6"],
+        ["2016-06-01T00:00:60Z,5", "2016-06-01T00:01:30Z,6"],
+        ["2016-06-01T00:00:00Z," + "0" * 200 + "5", "2016-06-01T00:00:30Z,6"],
+    ])
+    def test_off_form_files_take_the_row_loop(self, rows, tmp_path):
+        data = ("timestamp,cpu_utilization_percent\n" + "".join(f"{r}\n" for r in rows)).encode()
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert _parse_canonical(data) is None
+        assert _outcome(lambda: parse_trace(path, "m")) == _outcome(lambda: _parse_rows(data, "m"))
+
+
+class TestWriteMatchesFormatTimestamp:
+    @staticmethod
+    def row_by_row(trace):
+        return "timestamp,cpu_utilization_percent\n" + "".join(
+            f"{format_timestamp(t)},{v * 100.0:.4f}\n"
+            for t, v in zip(trace.times.tolist(), trace.values.tolist())
+        )
+
+    @staticmethod
+    def written(trace):
+        out = io.StringIO()
+        write_trace(trace, out)
+        return out.getvalue()
+
+    def test_random_fractional_stamps(self):
+        rng = np.random.default_rng(20160601)
+        n = 20_000
+        whole = np.sort(rng.choice(250_000_000_000, n, replace=False)).astype(np.float64)
+        fractions = np.select(
+            [np.arange(n) % 4 == k for k in range(4)],
+            [
+                rng.random(n),                                 # anything
+                (rng.integers(0, 10**6, n) + 0.5) / 1e6,       # half a microsecond
+                rng.integers(0, 10**6, n) / 1e6,               # trailing zeros to trim
+                0.9999995 + rng.random(n) * 5e-7,              # carries into the next second
+            ],
+        )
+        times = np.concatenate(([POSIX_2016_06_01 + 0.9999996], POSIX_2016_06_01 + 10 + whole + fractions))
+        trace = make_trace(times, rng.random(times.size))
+        text = self.written(trace)
+        assert text.splitlines()[1].startswith("2016-06-01T00:00:01Z,")
+        assert text == self.row_by_row(trace)
+
+    def test_stamps_before_1970(self):
+        trace = make_trace([-86_400.25, -0.5, 0.0, 0.75], [0.1, 0.2, 0.3, 0.4])
+        assert self.written(trace) == self.row_by_row(trace)
 
 
 class TestTimestampHelpers:
