@@ -6,6 +6,8 @@ the work consume? Scenarios range from copying the workload unchanged onto
 newer hardware to per-hour auto-scaling driven by the machine's CPU trace.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import Catalog, CpuSpec, bundled_catalog, compute_ce, lift_and_shift_fraction, load_catalog
 from .energy import (
     DEFAULT_IDLE_FRACTION,
@@ -73,4 +75,5 @@ from .trace import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, without the submodules that importing them binds here
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -61,6 +61,13 @@ class PowerSample:
             raise ValueError(f"relative_power must be positive, got {self.relative_power}")
 
 
+def power_unchecked(model: EnergyModel, u):
+    """:func:`relative_power` without its range check, for inputs known to be valid."""
+    a = model.idle_fraction
+    m = model.linear_mix
+    return a + (1.0 - a) * (m * u + (1.0 - m) * u * u)
+
+
 def relative_power(model: EnergyModel, utilization):
     """Power draw relative to full load, for utilizations in [0, 1].
 
@@ -69,9 +76,7 @@ def relative_power(model: EnergyModel, utilization):
     u = np.asarray(utilization, dtype=np.float64)
     if np.any(u < 0.0) or np.any(u > 1.0) or not np.all(np.isfinite(u)):
         raise ValueError("utilization must lie in [0, 1]")
-    a = model.idle_fraction
-    m = model.linear_mix
-    out = a + (1.0 - a) * (m * u + (1.0 - m) * u * u)
+    out = power_unchecked(model, u)
     return float(out) if np.ndim(utilization) == 0 else out
 
 
@@ -126,12 +131,7 @@ def load_power_samples(source) -> list[PowerSample]:
     samples = []
     for line, row in read_table(source, POWER_SAMPLE_COLUMNS, MigrentError, "power sample"):
         try:
-            percent = float(row[0])
-            power = float(row[1])
-        except ValueError as exc:
-            raise MigrentError(f"line {line}: {exc}") from None
-        try:
-            samples.append(PowerSample(percent / 100.0, power))
+            samples.append(PowerSample(float(row[0]) / 100.0, float(row[1])))
         except ValueError as exc:
             raise MigrentError(f"line {line}: {exc}") from None
     return samples

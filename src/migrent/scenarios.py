@@ -16,6 +16,9 @@ Scenarios, in increasing order of operational change:
   instance always runs at the target utilization.
 * autoscale_hourly: capacity is fixed within each clock-aligned UTC hour,
   sized so that hour's observed maximum lands on the target utilization.
+
+The public ``*_fraction`` functions are views of the same energy functions
+``analyze_machine`` uses (each written once), so they return its exact numbers.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .catalog import Catalog, CpuSpec, lift_and_shift_fraction
-from .energy import EnergyModel, relative_power, scaled_power
-from .errors import IdleMachineError
+from .energy import EnergyModel, power_unchecked
+from .errors import IdleMachineError, TraceError
 from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
@@ -52,6 +55,7 @@ SCENARIO_NAMES = (
 )
 
 _SECONDS_PER_HOUR = 3600.0
+_MAX_HOURS = 10 * 366 * 24  # about ten years; bounds _hourly_split's per-hour arrays
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,39 @@ def _check_peak(peak: float) -> float:
     return float(peak)
 
 
+def _on_prem_energy(trace: UtilizationTrace, model: EnergyModel) -> float:
+    """Trapezoid energy of the unresized machine, the lift-and-shift baseline."""
+    return integrate(trace, lambda u: power_unchecked(model, u))
+
+
+def _resized_energy(trace: UtilizationTrace, model: EnergyModel, peak: float, target: float) -> float:
+    """Energy of the static instance of capacity c = peak / target: integral of c * power(min(u / c, 1))."""
+    if peak == 0.0:
+        raise IdleMachineError(f"{trace.machine_id}: peak utilization is 0, static resizing is undefined")
+    capacity = peak / target
+    return integrate(trace, lambda u: power_unchecked(model, np.clip(u / capacity, 0.0, 1.0)) * capacity)
+
+
+def _ideal_energy(model: EnergyModel, target: float, demand: float) -> float:
+    """Energy of an instance that always runs at ``target``, for ``demand`` value-seconds of work."""
+    return (power_unchecked(model, target) / target) * demand
+
+
+def _ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``, but 0.0 for a zero numerator even over a zero denominator."""
+    return numerator / denominator if numerator != 0.0 else 0.0
+
+
+def _baseline_energy(
+    trace: UtilizationTrace, model: EnergyModel, baseline: str, target: float, peak: float | None
+) -> float:
+    """Denominator of an auto-scaling fraction; the static baseline estimates a missing peak."""
+    if baseline == BASELINE_LIFT_AND_SHIFT:
+        return _on_prem_energy(trace, model)
+    peak = estimate_peak(trace) if peak is None else _check_peak(peak)
+    return _resized_energy(trace, model, peak, target)
+
+
 def static_resize_fraction(
     trace: UtilizationTrace,
     target: float,
@@ -165,16 +202,8 @@ def static_resize_fraction(
     compares the resized instance's energy to the unresized machine's energy
     over the same trace.
     """
-    target = _check_target(target)
-    peak = _check_peak(peak)
-    if peak == 0.0:
-        raise IdleMachineError(
-            f"{trace.machine_id}: peak utilization is 0, static resizing is undefined"
-        )
-    capacity = peak / target
-    numerator = integrate(trace, lambda u: scaled_power(model, u, capacity))
-    denominator = integrate(trace, lambda u: relative_power(model, u))
-    return numerator / denominator
+    target, peak = _check_target(target), _check_peak(peak)
+    return _resized_energy(trace, model, peak, target) / _on_prem_energy(trace, model)
 
 
 def combined_fraction(
@@ -194,26 +223,6 @@ def combined_fraction(
     return lift_and_shift_fraction(on_prem, cloud) * static_resize_fraction(trace, target, model, peak)
 
 
-def _baseline_energy(
-    trace: UtilizationTrace,
-    model: EnergyModel,
-    baseline: str,
-    target: float,
-    peak: float | None,
-) -> float:
-    if baseline == BASELINE_LIFT_AND_SHIFT:
-        return integrate(trace, lambda u: relative_power(model, u))
-    if peak is None:
-        peak = estimate_peak(trace)
-    peak = _check_peak(peak)
-    if peak == 0.0:
-        raise IdleMachineError(
-            f"{trace.machine_id}: peak utilization is 0, the static-resized baseline is undefined"
-        )
-    capacity = peak / target
-    return integrate(trace, lambda u: scaled_power(model, u, capacity))
-
-
 def autoscale_ideal_fraction(
     trace: UtilizationTrace,
     target: float,
@@ -230,15 +239,8 @@ def autoscale_ideal_fraction(
     with default settings when omitted).
     """
     target = _check_target(target)
-    baseline = _check_baseline(baseline)
-    if baseline == BASELINE_STATIC_RESIZED and peak == 0.0:
-        raise IdleMachineError(
-            f"{trace.machine_id}: peak utilization is 0, the static-resized baseline is undefined"
-        )
-    numerator = (relative_power(model, target) / target) * integrate(trace)
-    if numerator == 0.0:
-        return 0.0
-    return numerator / _baseline_energy(trace, model, baseline, target, peak)
+    denominator = _baseline_energy(trace, model, _check_baseline(baseline), target, peak)
+    return _ratio(_ideal_energy(model, target, integrate(trace)), denominator)
 
 
 def hourly_capacities(trace: UtilizationTrace, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,6 +270,8 @@ def _hourly_split(trace: UtilizationTrace):
     first_hour = int(t[0] // _SECONDS_PER_HOUR)
     last_hour = int(t[-1] // _SECONDS_PER_HOUR)
     n_hours = last_hour - first_hour + 1
+    if n_hours > _MAX_HOURS:
+        raise TraceError(f"trace spans {n_hours} clock hours, the hourly scenario allows at most {_MAX_HOURS}")
 
     bounds = np.arange(first_hour + 1, last_hour + 1, dtype=np.float64) * _SECONDS_PER_HOUR
     ts = np.union1d(t, bounds)
@@ -295,8 +299,8 @@ def _hourly_energy(split, target: float, model: EnergyModel) -> float:
     capacity = hour_max[seg_hour] / target
     active = capacity > 0.0
     safe_c = np.where(active, capacity, 1.0)
-    left = relative_power(model, np.clip(us[:-1] / safe_c, 0.0, 1.0))
-    right = relative_power(model, np.clip(us[1:] / safe_c, 0.0, 1.0))
+    left = power_unchecked(model, np.clip(us[:-1] / safe_c, 0.0, 1.0))
+    right = power_unchecked(model, np.clip(us[1:] / safe_c, 0.0, 1.0))
     per_segment = np.where(active, 0.5 * (left + right) * safe_c * durations, 0.0)
     return float(np.sum(per_segment))
 
@@ -315,25 +319,15 @@ def autoscale_hourly_fraction(
     Hours with capacity 0 contribute no energy.
     """
     target = _check_target(target)
-    baseline = _check_baseline(baseline)
-    if baseline == BASELINE_STATIC_RESIZED and peak == 0.0:
-        raise IdleMachineError(
-            f"{trace.machine_id}: peak utilization is 0, the static-resized baseline is undefined"
-        )
-    numerator = _hourly_energy(_hourly_split(trace), target, model)
-    if numerator == 0.0:
-        return 0.0
-    return numerator / _baseline_energy(trace, model, baseline, target, peak)
+    denominator = _baseline_energy(trace, model, _check_baseline(baseline), target, peak)
+    return _ratio(_hourly_energy(_hourly_split(trace), target, model), denominator)
 
 
 def _gap_warnings(trace: UtilizationTrace) -> tuple[str, ...]:
-    warnings = []
-    for start, end in coverage_gaps(trace):
-        warnings.append(
-            f"no samples between {format_timestamp(start)} and {format_timestamp(end)}"
-            f" ({end - start:.0f}s gap)"
-        )
-    return tuple(warnings)
+    return tuple(
+        f"no samples between {format_timestamp(start)} and {format_timestamp(end)} ({end - start:.0f}s gap)"
+        for start, end in coverage_gaps(trace)
+    )
 
 
 def analyze_machine(
@@ -363,31 +357,24 @@ def analyze_machine(
     peak = estimate_peak(trace, window_seconds, percentile, min_days)
     idle = peak == 0.0
 
-    demand_integral = integrate(trace)
-    den_ls = integrate(trace, lambda u: relative_power(model, u))
+    demand = integrate(trace)
+    den_ls = _on_prem_energy(trace, model)
     split = _hourly_split(trace)
 
     rows = []
     for target in targets:
-        num_ideal = (relative_power(model, target) / target) * demand_integral
+        num_ideal = _ideal_energy(model, target, demand)
         num_hourly = _hourly_energy(split, target, model)
-        ideal_ls = num_ideal / den_ls if num_ideal != 0.0 else 0.0
-        hourly_ls = num_hourly / den_ls if num_hourly != 0.0 else 0.0
-
+        vs_ls = {"ideal": _ratio(num_ideal, den_ls), "hourly": _ratio(num_hourly, den_ls)}
         if idle:
-            static = combined = ideal_sr = hourly_sr = None
+            static = combined = None
+            vs_sr = {"ideal": None, "hourly": None}
         else:
-            capacity = peak / target
-            den_sr = integrate(trace, lambda u: scaled_power(model, u, capacity))
+            den_sr = _resized_energy(trace, model, peak, target)
             static = den_sr / den_ls
             combined = ls * static
-            ideal_sr = num_ideal / den_sr if num_ideal != 0.0 else 0.0
-            hourly_sr = num_hourly / den_sr if num_hourly != 0.0 else 0.0
-
-        by_baseline = {
-            BASELINE_LIFT_AND_SHIFT: {"ideal": ideal_ls, "hourly": hourly_ls},
-            BASELINE_STATIC_RESIZED: {"ideal": ideal_sr, "hourly": hourly_sr},
-        }
+            vs_sr = {"ideal": _ratio(num_ideal, den_sr), "hourly": _ratio(num_hourly, den_sr)}
+        by_baseline = {BASELINE_LIFT_AND_SHIFT: vs_ls, BASELINE_STATIC_RESIZED: vs_sr}
         chosen = by_baseline[baseline]
         rows.append(
             TargetScenarios(

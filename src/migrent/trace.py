@@ -103,10 +103,9 @@ def parse_timestamp(text: str) -> float:
 
 def format_timestamp(posix_seconds: float) -> str:
     """POSIX seconds to the ISO-8601 form used in trace files."""
-    moment = dt.datetime.fromtimestamp(posix_seconds, tz=_UTC)
-    if moment.microsecond:
-        return moment.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    moment = dt.datetime.fromtimestamp(posix_seconds, tz=_UTC).replace(tzinfo=None)
+    text = moment.isoformat()  # pads the year to four digits, unlike strftime's %Y
+    return (text.rstrip("0") if moment.microsecond else text) + "Z"
 
 
 def parse_trace(source, machine_id: str | None = None) -> UtilizationTrace:

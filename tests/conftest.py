@@ -28,6 +28,13 @@ def constant_trace(value: float, days: float = 8.0, period: float = 300.0,
     return UtilizationTrace(machine_id, t, np.full(n, value))
 
 
+def far_stamp_trace(machine_id="far") -> UtilizationTrace:
+    """Eight good days and one stamp eleven years later (about 96k clock hours)."""
+    good = constant_trace(0.4, machine_id=machine_id)
+    far = good.times[-1] + 11 * 366 * 86400.0
+    return make_trace(np.append(good.times, far), np.append(good.values, 0.4), machine_id)
+
+
 @pytest.fixture
 def model() -> EnergyModel:
     return EnergyModel()

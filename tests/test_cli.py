@@ -14,7 +14,7 @@ import migrent
 from migrent import write_trace
 from migrent.cli import main
 
-from conftest import constant_trace
+from conftest import constant_trace, far_stamp_trace
 
 CATALOG_TEXT = """\
 model_name,spec_score,tdp_watts,release_date,cores,cloud
@@ -209,6 +209,20 @@ class TestFleet:
         payload = run_json(capsys, "fleet", str(manifest), "--targets", "0.8", "--jobs", "1")
         assert payload["machines_analyzed"] == 1
         assert [e["machine_id"] for e in payload["exclusions"]] == ["bad"]
+
+    def test_implausible_span_is_excluded(self, capsys, corpus, tmp_path):
+        write_trace(far_stamp_trace(), tmp_path / "far.csv")
+        (tmp_path / "good.csv").symlink_to(corpus / "traces" / "m0000.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "machine_id,trace_path,cpu_model,datacenter_id\n"
+            "good,good.csv,fx-quad-2011,dc000\n"
+            "far,far.csv,fx-quad-2011,dc000\n"
+        )
+        payload = run_json(capsys, "fleet", str(manifest), "--targets", "0.8", "--jobs", "1")
+        assert payload["machines_analyzed"] == 1
+        assert [e["machine_id"] for e in payload["exclusions"]] == ["far"]
+        assert "clock hours" in payload["exclusions"][0]["reason"]
 
     def test_all_failures_exit_4(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.csv"

@@ -6,11 +6,13 @@ import pytest
 from migrent import (
     BASELINE_LIFT_AND_SHIFT,
     BASELINE_STATIC_RESIZED,
+    BASELINES,
     CatalogError,
     EnergyModel,
     IdleMachineError,
     InsufficientDataError,
     MachineRecord,
+    TraceError,
     analyze_machine,
     autoscale_hourly_fraction,
     autoscale_ideal_fraction,
@@ -23,8 +25,9 @@ from migrent import (
     scaled_power,
     static_resize_fraction,
 )
+from migrent.scenarios import _MAX_HOURS
 
-from conftest import POSIX_2016_06_01, constant_trace, make_trace
+from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace, make_trace
 from oracles import (
     hourly_fraction_ref,
     ideal_fraction_ref,
@@ -111,6 +114,11 @@ class TestCombined:
         cloud = small_catalog.cloud_spec
         got = combined_fraction(trace, 0.8, model, cloud, cloud, peak=0.4)
         assert got == pytest.approx(static_resize_fraction(trace, 0.8, model, peak=0.4), rel=1e-15)
+
+    def test_idle_machine_rejected(self, model, small_catalog):
+        on_prem, cloud = small_catalog.lookup("old-box"), small_catalog.cloud_spec
+        with pytest.raises(IdleMachineError):
+            combined_fraction(constant_trace(0.0), 0.8, model, on_prem, cloud, peak=0.0)
 
 
 class TestAutoscaleIdeal:
@@ -208,6 +216,23 @@ class TestAutoscaleHourly:
     def test_all_zero_trace_gives_zero(self, model):
         assert autoscale_hourly_fraction(constant_trace(0.0), 0.8, model) == 0.0
 
+    def test_static_baseline_rejects_idle_peak(self, model):
+        with pytest.raises(IdleMachineError):
+            autoscale_hourly_fraction(constant_trace(0.0), 0.8, model, BASELINE_STATIC_RESIZED, peak=0.0)
+
+    def test_span_bound(self, model):
+        # the hourly split allocates per clock hour, so the span is bounded before it allocates
+        at_bound = make_trace([0.0, (_MAX_HOURS - 1) * 3600.0], [0.2, 0.4])
+        assert hourly_capacities(at_bound, 0.8)[0].size == _MAX_HOURS
+        assert autoscale_hourly_fraction(at_bound, 0.8, model) > 0.0
+        over = make_trace([0.0, _MAX_HOURS * 3600.0], [0.2, 0.4])
+        with pytest.raises(TraceError, match=f"spans {_MAX_HOURS + 1} clock hours"):
+            hourly_capacities(over, 0.8)
+
+    def test_eleven_year_span_rejected(self, model):
+        with pytest.raises(TraceError, match="clock hours"):
+            autoscale_hourly_fraction(far_stamp_trace(), 0.8, model)
+
     def test_gap_hour_capacity_from_interpolation(self, model):
         # no samples in hour 1; capacity falls back to the interpolated ends
         t = np.array([0.0, 3000.0, 7500.0, 7800.0])
@@ -238,6 +263,29 @@ class TestAutoscaleHourly:
         assert got == pytest.approx(want, rel=1e-3)
 
 
+@pytest.mark.parametrize("fraction", [autoscale_ideal_fraction, autoscale_hourly_fraction])
+class TestStaticResizedBaselinePeak:
+    def test_omitted_peak_is_the_default_estimate(self, model, fraction):
+        rng = np.random.default_rng(107)
+        t, u = random_walk_trace(rng, 1600, dt_range=(400.0, 500.0))  # ~8 days
+        trace = make_trace(t, u)
+        peak = estimate_peak(trace)
+        assert fraction(trace, 0.7, model, BASELINE_STATIC_RESIZED) == fraction(
+            trace, 0.7, model, BASELINE_STATIC_RESIZED, peak=peak
+        )
+
+    def test_idle_estimated_peak_rejected(self, model, fraction):
+        # the denominator is undefined whether the idle peak is given or estimated
+        trace = constant_trace(0.0)
+        assert estimate_peak(trace) == 0.0
+        with pytest.raises(IdleMachineError):
+            fraction(trace, 0.8, model, BASELINE_STATIC_RESIZED)
+
+    def test_peak_checked_even_for_zero_demand(self, model, fraction):
+        with pytest.raises(ValueError, match="peak utilization"):
+            fraction(constant_trace(0.0), 0.8, model, BASELINE_STATIC_RESIZED, peak=1.5)
+
+
 class TestAnalyzeMachine:
     @pytest.fixture
     def record(self):
@@ -247,23 +295,23 @@ class TestAnalyzeMachine:
         return MachineRecord("m-1", trace, "old-box", "dc-east")
 
     def test_matches_public_functions_exactly(self, model, small_catalog, record):
-        targets = [0.5, 0.8]
-        report = analyze_machine(record, targets, model, small_catalog)
+        # every baseline and a wide range of targets; equal, not approximately equal
+        targets = [0.01, 0.05, 0.5, 0.8, 1.0]
         trace = record.trace
         peak = estimate_peak(trace)
-        assert report.peak_utilization == peak
-        on_prem = small_catalog.lookup("old-box")
-        assert report.lift_and_shift == lift_and_shift_fraction(on_prem, small_catalog.cloud_spec)
-        for target in targets:
-            assert report.scenario_value("static_resize", target) == static_resize_fraction(
-                trace, target, model, peak
-            )
-            assert report.scenario_value("autoscale_ideal", target) == autoscale_ideal_fraction(
-                trace, target, model
-            )
-            assert report.scenario_value("autoscale_hourly", target) == autoscale_hourly_fraction(
-                trace, target, model
-            )
+        on_prem, cloud = small_catalog.lookup("old-box"), small_catalog.cloud_spec
+        names = ("static_resize", "combined", "autoscale_ideal", "autoscale_hourly")
+        for baseline in BASELINES:
+            report = analyze_machine(record, targets, model, small_catalog, baseline=baseline)
+            assert report.peak_utilization == peak
+            assert report.lift_and_shift == lift_and_shift_fraction(on_prem, cloud)
+            for target in targets:
+                assert [report.scenario_value(name, target) for name in names] == [
+                    static_resize_fraction(trace, target, model, peak),
+                    combined_fraction(trace, target, model, on_prem, cloud, peak),
+                    autoscale_ideal_fraction(trace, target, model, baseline),
+                    autoscale_hourly_fraction(trace, target, model, baseline),
+                ], (baseline, target)
 
     def test_both_baselines_reported(self, model, small_catalog, record):
         report = analyze_machine(record, [0.8], model, small_catalog)
@@ -309,6 +357,11 @@ class TestAnalyzeMachine:
         trace = constant_trace(0.4, machine_id="other")
         with pytest.raises(ValueError, match="other"):
             MachineRecord("m-1", trace, "old-box")
+
+    def test_eleven_year_span_rejected(self, model, small_catalog):
+        record = MachineRecord("far", far_stamp_trace(), "old-box")
+        with pytest.raises(TraceError, match="clock hours"):
+            analyze_machine(record, [0.8], model, small_catalog)
 
     def test_short_trace_raises_insufficient_data(self, model, small_catalog):
         trace = constant_trace(0.4, days=3.0, machine_id="short")

@@ -232,6 +232,29 @@ class TestTimestampHelpers:
         assert format_timestamp(POSIX_2016_06_01) == "2016-06-01T00:00:00Z"
         assert parse_timestamp(format_timestamp(1_464_825_661.0)) == 1_464_825_661.0
 
+    @pytest.mark.parametrize("stamp", ["0500-01-01T00:00:00Z", "0999-12-31T23:59:59.5Z"])
+    def test_years_below_1000_round_trip_through_files(self, tmp_path, stamp):
+        start = parse_timestamp(stamp)
+        trace = make_trace([start, start + 30.0], [0.25, 0.5])
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        assert path.read_text().splitlines()[1] == f"{stamp},25.0000"
+        back = parse_trace(path)
+        assert np.array_equal(back.times, trace.times)
+        assert np.array_equal(back.values, trace.values)
+
+    def test_years_1000_to_9999_keep_their_bytes(self):
+        # the form strftime gave before the year was padded, for every year it wrote in full
+        rng = np.random.default_rng(1000)
+        lo = dt.datetime(1000, 1, 1, tzinfo=dt.timezone.utc).timestamp()
+        hi = dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=dt.timezone.utc).timestamp()
+        stamps = np.concatenate((np.floor(rng.uniform(lo, hi, 500)), rng.uniform(lo, hi, 500), [lo, hi]))
+        for t in stamps.tolist():
+            moment = dt.datetime.fromtimestamp(t, tz=dt.timezone.utc)
+            old = moment.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z" if moment.microsecond \
+                else moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+            assert format_timestamp(t) == old
+
 
 class TestTraceInvariants:
     def test_needs_two_samples(self):
