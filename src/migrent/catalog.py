@@ -69,6 +69,12 @@ def lift_and_shift_fraction(on_prem: CpuSpec, cloud: CpuSpec) -> float:
     return compute_ce(on_prem) / compute_ce(cloud)
 
 
+def _did_you_mean(name: str, known) -> str:
+    """A spelling hint naming up to three close matches, or ''."""
+    close = difflib.get_close_matches(name, known, n=3)
+    return f" (did you mean: {', '.join(close)}?)" if close else ""
+
+
 class Catalog:
     """Immutable collection of CPU specs plus a designated cloud reference."""
 
@@ -79,7 +85,10 @@ class Catalog:
         if not self._entries:
             raise CatalogError("catalog has no entries")
         if cloud_reference not in self._entries:
-            raise CatalogError(f"cloud reference {cloud_reference!r} is not in the catalog")
+            raise CatalogError(
+                f"cloud reference {cloud_reference!r} is not in the catalog"
+                f"{_did_you_mean(cloud_reference, self._entries)}"
+            )
         self.cloud_reference = cloud_reference
 
     def __len__(self) -> int:
@@ -103,9 +112,9 @@ class Catalog:
         try:
             return self._entries[model_name]
         except KeyError:
-            close = difflib.get_close_matches(model_name, self._entries, n=3)
-            hint = f" (did you mean: {', '.join(close)}?)" if close else ""
-            raise CatalogError(f"unknown CPU model {model_name!r}{hint}") from None
+            raise CatalogError(
+                f"unknown CPU model {model_name!r}{_did_you_mean(model_name, self._entries)}"
+            ) from None
 
     def lift_and_shift(self, model_name: str) -> float:
         """Lift-and-shift energy fraction of a model against the cloud reference."""
@@ -165,10 +174,6 @@ def load_catalog(source, cloud_reference: str | None = None) -> Catalog:
         if not cloud_models:
             raise CatalogError("no cloud-flagged entry in catalog and no cloud reference given")
         cloud_reference = max(cloud_models, key=lambda n: (entries[n].release_date, n))
-    elif cloud_reference not in entries:
-        close = difflib.get_close_matches(cloud_reference, entries, n=3)
-        hint = f" (did you mean: {', '.join(close)}?)" if close else ""
-        raise CatalogError(f"cloud reference {cloud_reference!r} is not in the catalog{hint}")
 
     return Catalog(entries, cloud_reference)
 

@@ -16,6 +16,7 @@ the last resort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,6 +45,9 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT_DATA = 3
 EXIT_ALL_FAILED = 4
 
+# Every setting a flag or the --config file can give, with its default. One
+# config file serves every subcommand; each subcommand resolves only the
+# settings its parser defines.
 _DEFAULTS = {
     "catalog": None,
     "cloud_ref": None,
@@ -56,6 +60,9 @@ _DEFAULTS = {
     "min_days": DEFAULT_MIN_DAYS,
     "jobs": os.cpu_count() or 1,
 }
+
+# the settings analyze_machine takes as keywords, passed on unchanged
+_ANALYSIS_KEYS = ("baseline", "window_seconds", "percentile", "min_days")
 
 
 def _parse_targets(raw) -> tuple[float, ...]:
@@ -71,10 +78,42 @@ def _parse_targets(raw) -> tuple[float, ...]:
         raise MigrentError(f"targets must be a list or comma-separated string, got {raw!r}")
     if not values:
         raise MigrentError("at least one target utilization is required")
+    seen = set()
     for v in values:
         if not 0.0 < v <= 1.0:
             raise MigrentError(f"target utilization must be in (0, 1], got {v}")
+        # reports and CSV file names show targets at output precision
+        if (shown := format_float(v)) in seen:
+            raise MigrentError(f"duplicate target utilization {shown} in {raw!r}")
+        seen.add(shown)
     return tuple(values)
+
+
+def _parse_baseline(raw) -> str:
+    baseline = str(raw)
+    if baseline not in BASELINES:
+        raise MigrentError(f"baseline must be one of {BASELINES}, got {baseline!r}")
+    return baseline
+
+
+def _parse_jobs(raw) -> int:
+    jobs = int(raw)
+    if jobs < 1:
+        raise MigrentError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
+# how a flag, config or default value becomes a setting (absent: kept as is)
+_CONVERT = {
+    "targets": _parse_targets,
+    "baseline": _parse_baseline,
+    "idle_fraction": float,
+    "linear_mix": float,
+    "window_seconds": float,
+    "percentile": float,
+    "min_days": int,
+    "jobs": _parse_jobs,
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -96,38 +135,30 @@ def _load_config(path: str | None) -> dict:
 
 
 class _Settings:
-    """Flag > config file > default resolution for the shared options."""
+    """Flag > config file > default for each setting the subcommand defines."""
 
     def __init__(self, args: argparse.Namespace):
-        config = _load_config(getattr(args, "config", None))
-
-        def pick(key):
-            value = getattr(args, key, None)
+        config = _load_config(args.config)
+        for key, default in _DEFAULTS.items():
+            if not hasattr(args, key):
+                continue  # another subcommand's setting
+            value = getattr(args, key)
             if value is None:
-                value = config.get(key, _DEFAULTS[key])
-            return value
+                value = config.get(key, default)
+            convert = _CONVERT.get(key)
+            setattr(self, key, value if convert is None else convert(value))
+        if self.catalog is None:
+            self.catalog = os.environ.get(ENV_CATALOG) or None
 
-        self.catalog_path = pick("catalog")
-        if self.catalog_path is None:
-            self.catalog_path = os.environ.get(ENV_CATALOG) or None
-        self.cloud_ref = pick("cloud_ref")
-        self.targets = _parse_targets(pick("targets"))
-        self.baseline = str(pick("baseline"))
-        if self.baseline not in BASELINES:
-            raise MigrentError(f"baseline must be one of {BASELINES}, got {self.baseline!r}")
-        self.idle_fraction = float(pick("idle_fraction"))
-        self.linear_mix = float(pick("linear_mix"))
-        self.window_seconds = float(pick("window_seconds"))
-        self.percentile = float(pick("percentile"))
-        self.min_days = int(pick("min_days"))
-        self.jobs = int(pick("jobs"))
-        if self.jobs < 1:
-            raise MigrentError(f"jobs must be at least 1, got {self.jobs}")
+    @property
+    def analysis(self) -> dict:
+        """The keyword settings of ``analyze_machine`` and ``analyze_manifest``."""
+        return {key: getattr(self, key) for key in _ANALYSIS_KEYS}
 
     def load_catalog(self):
-        if self.catalog_path is None:
+        if self.catalog is None:
             return bundled_catalog(self.cloud_ref)
-        return load_catalog(self.catalog_path, self.cloud_ref)
+        return load_catalog(self.catalog, self.cloud_ref)
 
     def energy_model(self) -> EnergyModel:
         try:
@@ -136,24 +167,34 @@ class _Settings:
             raise MigrentError(str(exc)) from None
 
 
-def _add_shared_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("shared options")
+def _shown(values) -> str:
+    """A default tuple as it is typed on the command line."""
+    return ",".join(f"{v:g}" for v in values)
+
+
+def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("catalog options")
     group.add_argument("--catalog", help=f"catalog CSV path (default: ${ENV_CATALOG} or the bundled catalog)")
     group.add_argument("--cloud-ref", dest="cloud_ref", help="cloud reference CPU model (default: newest cloud entry)")
-    group.add_argument("--targets", help="comma-separated target utilizations (default: 0.5,0.6,0.7,0.8,0.9)")
-    group.add_argument("--baseline", choices=BASELINES, default=None,
-                       help="denominator for auto-scaling fractions (default: lift-and-shift)")
-    group.add_argument("--idle-fraction", dest="idle_fraction", type=float, default=None,
-                       help="relative power at zero utilization (default: 0.33)")
-    group.add_argument("--linear-mix", dest="linear_mix", type=float, default=None,
-                       help="linear share of the loaded power curve (default: 0.36)")
-    group.add_argument("--window-seconds", dest="window_seconds", type=float, default=None,
-                       help="smoothing window for peak estimation (default: 300)")
-    group.add_argument("--percentile", type=float, default=None,
-                       help="percentile of daily maxima used as the peak (default: 95)")
-    group.add_argument("--min-days", dest="min_days", type=int, default=None,
-                       help="minimum days of data required (default: 7)")
-    group.add_argument("--config", help="JSON file supplying defaults for the shared options")
+    group.add_argument("--config", help="JSON file supplying defaults for the catalog and analysis options")
+
+
+def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("analysis options")
+    group.add_argument("--targets",
+                       help=f"comma-separated target utilizations (default: {_shown(_DEFAULTS['targets'])})")
+    group.add_argument("--baseline", choices=BASELINES,
+                       help=f"denominator for auto-scaling fractions (default: {_DEFAULTS['baseline']})")
+    group.add_argument("--idle-fraction", dest="idle_fraction", type=float,
+                       help=f"relative power at zero utilization (default: {_DEFAULTS['idle_fraction']:g})")
+    group.add_argument("--linear-mix", dest="linear_mix", type=float,
+                       help=f"linear share of the loaded power curve (default: {_DEFAULTS['linear_mix']:g})")
+    group.add_argument("--window-seconds", dest="window_seconds", type=float,
+                       help=f"smoothing window for peak estimation (default: {_DEFAULTS['window_seconds']:g})")
+    group.add_argument("--percentile", type=float,
+                       help=f"percentile of daily maxima used as the peak (default: {_DEFAULTS['percentile']:g})")
+    group.add_argument("--min-days", dest="min_days", type=int,
+                       help=f"minimum days of data required (default: {_DEFAULTS['min_days']})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,45 +209,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("cpu_model", help="the machine's CPU model, as named in the catalog")
     p_analyze.add_argument("--machine-id", dest="machine_id", help="identifier in the report (default: trace file stem)")
     p_analyze.add_argument("--datacenter", help="datacenter identifier in the report")
-    _add_shared_options(p_analyze)
+    _add_catalog_options(p_analyze)
+    _add_analysis_options(p_analyze)
 
     p_fleet = sub.add_parser("fleet", help="analyze every machine in a manifest")
     p_fleet.add_argument("manifest", help="manifest CSV (machine_id,trace_path,cpu_model,datacenter_id)")
     p_fleet.add_argument("--emit-csv", dest="emit_csv", metavar="DIR",
                          help="also write CDF/table CSVs into DIR")
-    p_fleet.add_argument("--jobs", type=int, default=None, help="worker processes (default: the number of CPUs)")
-    _add_shared_options(p_fleet)
+    p_fleet.add_argument("--jobs", type=int, help="worker processes (default: the number of CPUs)")
+    _add_catalog_options(p_fleet)
+    _add_analysis_options(p_fleet)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic fleet corpus")
     p_synth.add_argument("--out", required=True, help="output directory for traces and manifest")
-    p_synth.add_argument("--seed", type=int, default=0, help="fleet seed (default: 0)")
-    p_synth.add_argument("--machines", type=int, default=20, help="number of machines (default: 20)")
-    p_synth.add_argument("--datacenters", type=int, default=5, help="number of datacenters (default: 5)")
+    p_synth.add_argument("--seed", type=int, default=0, help="fleet seed (default: %(default)s)")
+    p_synth.add_argument("--machines", type=int, default=20, help="number of machines (default: %(default)s)")
+    p_synth.add_argument("--datacenters", type=int, default=5, help="number of datacenters (default: %(default)s)")
     p_synth.add_argument("--start", default=synth_mod.DEFAULT_START,
-                         help=f"trace start timestamp (default: {synth_mod.DEFAULT_START})")
-    p_synth.add_argument("--duration-days", dest="duration_days", metavar="LO[,HI]",
-                         help="trace length range in days (default: 10,15)")
-    p_synth.add_argument("--base-util", dest="base_util", metavar="LO[,HI]",
-                         help="base utilization range (default: 0.05,0.6)")
-    p_synth.add_argument("--growth", metavar="LO[,HI]", help="per-day growth range (default: 0,0.015)")
-    p_synth.add_argument("--refresh-days", dest="refresh_days", metavar="LO[,HI]",
-                         help="hardware refresh period range in days (default: 30,120)")
-    p_synth.add_argument("--diurnal", metavar="LO[,HI]", help="day/night amplitude range (default: 0,0.3)")
-    p_synth.add_argument("--noise", metavar="LO[,HI]", help="sample noise stddev range (default: 0.005,0.05)")
-    p_synth.add_argument("--periods", metavar="P[,P]", help="allowed sample periods in seconds (default: 20,30)")
-    _add_shared_options(p_synth)
+                         help="trace start timestamp (default: %(default)s)")
+    # each range flag's dest is the ParamRanges field it sets
+    ranges = synth_mod.ParamRanges()
+    for flag, dest, metavar, what in (
+        ("--duration-days", "duration_days", "LO[,HI]", "trace length range in days"),
+        ("--base-util", "base_utilization", "LO[,HI]", "base utilization range"),
+        ("--growth", "growth_per_day", "LO[,HI]", "per-day growth range"),
+        ("--refresh-days", "refresh_days", "LO[,HI]", "hardware refresh period range in days"),
+        ("--diurnal", "diurnal_amplitude", "LO[,HI]", "day/night amplitude range"),
+        ("--noise", "noise_stddev", "LO[,HI]", "sample noise stddev range"),
+        ("--periods", "sample_periods", "P[,P]", "allowed sample periods in seconds"),
+    ):
+        p_synth.add_argument(flag, dest=dest, metavar=metavar,
+                             help=f"{what} (default: {_shown(getattr(ranges, dest))})")
+    _add_catalog_options(p_synth)
 
     p_cat = sub.add_parser("catalog", help="inspect the CPU catalog")
     cat_sub = p_cat.add_subparsers(dest="catalog_command", required=True)
     c_list = cat_sub.add_parser("list", help="list model names")
-    _add_shared_options(c_list)
+    _add_catalog_options(c_list)
     c_show = cat_sub.add_parser("show", help="show one model as JSON")
     c_show.add_argument("model")
-    _add_shared_options(c_show)
+    _add_catalog_options(c_show)
     c_ce = cat_sub.add_parser("ce", help="lift-and-shift fraction of a model vs the cloud reference")
     c_ce.add_argument("on_prem", help="on-premise CPU model")
     c_ce.add_argument("cloud", nargs="?", help="cloud CPU model (default: the catalog's cloud reference)")
-    _add_shared_options(c_ce)
+    _add_catalog_options(c_ce)
 
     return parser
 
@@ -223,19 +269,11 @@ def _ensure_writable_dir(path: str) -> Path:
     return target
 
 
-def _pair(raw: str | None, cast=float) -> tuple | None:
-    if raw is None:
-        return None
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+def _numbers(raw: str, cast) -> tuple:
     try:
-        values = [cast(p) for p in parts]
+        return tuple(cast(p) for p in raw.split(",") if p.strip())
     except ValueError:
         raise MigrentError(f"expected numbers, got {raw!r}") from None
-    if len(values) == 1:
-        return (values[0], values[0])
-    if len(values) == 2:
-        return tuple(values)
-    raise MigrentError(f"expected LO or LO,HI, got {raw!r}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -246,16 +284,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     machine_id = args.machine_id or trace_path.stem
     trace = parse_trace(trace_path, machine_id=machine_id)
     record = MachineRecord(machine_id, trace, args.cpu_model, args.datacenter)
-    report = analyze_machine(
-        record,
-        settings.targets,
-        model,
-        catalog,
-        baseline=settings.baseline,
-        window_seconds=settings.window_seconds,
-        percentile=settings.percentile,
-        min_days=settings.min_days,
-    )
+    report = analyze_machine(record, settings.targets, model, catalog, **settings.analysis)
     sys.stdout.write(dumps_stable(report.to_dict()))
     return EXIT_OK
 
@@ -268,16 +297,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     entries = fleet_mod.load_manifest(manifest_path)
     csv_dir = _ensure_writable_dir(args.emit_csv) if args.emit_csv else None
     report = fleet_mod.analyze_manifest(
-        entries,
-        manifest_path.parent,
-        catalog,
-        model,
-        settings.targets,
-        baseline=settings.baseline,
-        jobs=settings.jobs,
-        window_seconds=settings.window_seconds,
-        percentile=settings.percentile,
-        min_days=settings.min_days,
+        entries, manifest_path.parent, catalog, model, settings.targets,
+        jobs=settings.jobs, **settings.analysis,
     )
     if csv_dir is not None:
         fleet_mod.write_csv_reports(report, csv_dir)
@@ -290,22 +311,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     catalog = settings.load_catalog()
     _ensure_writable_dir(args.out)
     overrides = {}
-    if (pair := _pair(args.duration_days, int)) is not None:
-        overrides["duration_days"] = pair
-    if (pair := _pair(args.base_util)) is not None:
-        overrides["base_utilization"] = pair
-    if (pair := _pair(args.growth)) is not None:
-        overrides["growth_per_day"] = pair
-    if (pair := _pair(args.refresh_days, int)) is not None:
-        overrides["refresh_days"] = pair
-    if (pair := _pair(args.diurnal)) is not None:
-        overrides["diurnal_amplitude"] = pair
-    if (pair := _pair(args.noise)) is not None:
-        overrides["noise_stddev"] = pair
-    if args.periods is not None:
-        overrides["sample_periods"] = tuple(
-            int(p) for p in str(args.periods).split(",") if p.strip()
-        )
+    for name, default in dataclasses.asdict(synth_mod.ParamRanges()).items():
+        raw = getattr(args, name)
+        if raw is None:
+            continue
+        values = _numbers(raw, type(default[0]))  # int or float, as the default
+        if name != "sample_periods":  # every other field is a LO,HI pair
+            if len(values) == 1:
+                values *= 2
+            elif len(values) != 2:
+                raise MigrentError(f"expected LO or LO,HI, got {raw!r}")
+        overrides[name] = values
     try:
         ranges = synth_mod.ParamRanges(**overrides)
         machines = synth_mod.generate_fleet(

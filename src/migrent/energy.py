@@ -83,16 +83,18 @@ def relative_power(model: EnergyModel, utilization):
 def scaled_power(model: EnergyModel, utilization, capacity):
     """Power of a machine resized to ``capacity`` times the original.
 
-    The same absolute work runs at utilization ``u / capacity`` (clamped to
-    [0, 1]: demand beyond the smaller machine is dropped at full load), and
-    power scales with the machine's size.
+    ``utilization`` is the demand in units of the original machine and must
+    be finite and non-negative. The same absolute work runs at utilization
+    ``u / capacity`` (capped at 1: demand beyond the resized machine is
+    dropped at full load), and power scales with the machine's size.
     """
     c = np.asarray(capacity, dtype=np.float64)
     if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
         raise ValueError("capacity must be positive")
     u = np.asarray(utilization, dtype=np.float64)
-    x = np.clip(u / c, 0.0, 1.0)
-    out = relative_power(model, x) * c
+    if np.any(u < 0.0) or not np.all(np.isfinite(u)):
+        raise ValueError("utilization must be finite and non-negative")
+    out = power_unchecked(model, np.minimum(u / c, 1.0)) * c
     if np.ndim(utilization) == 0 and np.ndim(capacity) == 0:
         return float(out)
     return out

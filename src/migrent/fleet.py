@@ -9,11 +9,11 @@ fleet where *every* machine fails raises.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .scenarios import (
     ScenarioReport,
     analyze_machine,
 )
-from .table import read_table
+from .table import read_table, write_table
 from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
@@ -83,31 +83,18 @@ def load_manifest(source) -> list[ManifestEntry]:
 def write_manifest(entries: Iterable[ManifestEntry], dest) -> None:
     path = Path(dest)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        for e in entries:
-            writer.writerow((e.machine_id, e.trace_path, e.cpu_model, e.datacenter_id))
+    write_table(path, MANIFEST_COLUMNS,
+                ((e.machine_id, e.trace_path, e.cpu_model, e.datacenter_id) for e in entries))
 
 
-def _analyze_entry(task) -> tuple[str, ScenarioReport | None, str | None]:
+def _analyze_entry(
+    entry: ManifestEntry, base_dir: str, analyze: Callable[[MachineRecord], ScenarioReport]
+) -> tuple[str, ScenarioReport | None, str | None]:
     """Worker for one manifest row; returns (machine_id, report, error)."""
-    entry, base_dir, catalog, model, targets, baseline, window_seconds, percentile, min_days = task
     try:
-        trace_path = Path(base_dir) / entry.trace_path
-        trace = parse_trace(trace_path, machine_id=entry.machine_id)
+        trace = parse_trace(Path(base_dir) / entry.trace_path, machine_id=entry.machine_id)
         record = MachineRecord(entry.machine_id, trace, entry.cpu_model, entry.datacenter_id)
-        report = analyze_machine(
-            record,
-            targets,
-            model,
-            catalog,
-            baseline=baseline,
-            window_seconds=window_seconds,
-            percentile=percentile,
-            min_days=min_days,
-        )
-        return entry.machine_id, report, None
+        return entry.machine_id, analyze(record), None
     except MigrentError as exc:
         return entry.machine_id, None, str(exc)
 
@@ -188,6 +175,8 @@ def aggregate(
         raise FleetError("no machines to aggregate", exclusions)
     reports = tuple(sorted(reports, key=lambda r: r.machine_id))
     targets = tuple(float(t) for t in targets)
+    if not targets:  # the means table then has a row per target and scenario
+        raise ValueError("at least one target utilization is required")
     by_dc = _group_by_datacenter(reports)
 
     means = []
@@ -312,16 +301,17 @@ def analyze_manifest(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        (entry, str(base_dir), catalog, model, tuple(targets), baseline,
-         window_seconds, percentile, min_days)
-        for entry in entries
-    ]
-    if jobs == 1 or len(tasks) <= 1:
-        results = [_analyze_entry(task) for task in tasks]
+    # one picklable callable carries every setting to the workers
+    analyze = partial(
+        analyze_machine, targets=tuple(targets), model=model, catalog=catalog, baseline=baseline,
+        window_seconds=window_seconds, percentile=percentile, min_days=min_days,
+    )
+    work = partial(_analyze_entry, base_dir=str(base_dir), analyze=analyze)
+    if jobs == 1 or len(entries) <= 1:
+        results = [work(entry) for entry in entries]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_analyze_entry, tasks, chunksize=8))
+            results = list(pool.map(work, entries, chunksize=8))
 
     reports = []
     exclusions = []
@@ -345,54 +335,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-
-
 def write_csv_reports(report: FleetReport, out_dir) -> list[Path]:
     """Emit the fleet aggregates as CSV files and return the paths written.
 
     One CDF file per scenario and target plus the mean table, the
     datacenter size bins, and the peak-utilization-by-release-year table.
+    Each table's header is its rows' keys.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-
-    path = out / "mean_table.csv"
-    _write_rows(
-        path,
-        ("target", "scenario", "machine_mean", "datacenter_mean", "machines"),
-        ((m["target"], m["scenario"], m["machine_mean"], m["datacenter_mean"], m["machines"])
-         for m in report.means),
-    )
-    written.append(path)
-
-    path = out / "size_bins.csv"
-    _write_rows(
-        path,
-        ("bin", "datacenters", "machines", "mean", "min", "max"),
-        ((b["bin"], b["datacenters"], b["machines"], b["mean"], b["min"], b["max"])
-         for b in report.size_bins),
-    )
-    written.append(path)
-
-    path = out / "util_by_release.csv"
-    _write_rows(
-        path,
-        ("release_year", "machines", "mean", "p10", "p25", "p75", "p90"),
-        ((r["release_year"], r["machines"], r["mean"], r["p10"], r["p25"], r["p75"], r["p90"])
-         for r in report.utilization_by_release),
-    )
-    written.append(path)
+    for name, rows in (
+        ("mean_table", report.means),
+        ("size_bins", report.size_bins),
+        ("util_by_release", report.utilization_by_release),
+    ):
+        path = out / f"{name}.csv"
+        write_table(path, rows[0].keys(), ([_fmt(v) for v in row.values()] for row in rows))
+        written.append(path)
 
     for (scenario, target), points in sorted(report.cdfs.items()):
         path = out / f"cdf_{scenario}_{target:g}.csv"
-        _write_rows(path, ("value", "cumulative_probability"), points)
+        write_table(path, ("value", "cumulative_probability"), ([_fmt(v) for v in p] for p in points))
         written.append(path)
 
     return written

@@ -6,7 +6,8 @@ field count, where blank rows are skipped. ``read_table`` checks that
 layout and yields the data rows with their 1-based line numbers, so each
 loader only interprets fields. Every failure, including bytes that are not
 UTF-8 and rows the csv module rejects, is raised as the loader's own error
-class, which fleet runs record in the exclusion ledger.
+class, which fleet runs record in the exclusion ledger. ``write_table``
+writes the same layout for manifests and the fleet report tables.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MigrentError
 
@@ -69,6 +70,14 @@ def read_table(
         raise error_cls(f"not UTF-8 text ({exc.reason})", line=_bad_byte_line(data)) from None
     except csv.Error as exc:
         raise error_cls(str(exc), line=line + 1) from None
+
+
+def write_table(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a header row and then ``rows`` to the CSV file at ``path``, with LF line ends."""
+    with Path(path).open("w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _bad_byte_line(data: bytes | None) -> int | None:

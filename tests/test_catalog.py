@@ -144,6 +144,15 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="not in the catalog"):
             load_catalog(make_csv(["a,300,95,2012-03-01,8,true"]), cloud_reference="missing")
 
+    def test_misspelled_cloud_reference_gives_hint(self):
+        with pytest.raises(CatalogError, match=r"did you mean: cloud-box\?"):
+            load_catalog(make_csv(["cloud-box,300,95,2012-03-01,8,true"]), cloud_reference="cloud-bx")
+
+    def test_catalog_constructor_gives_hint(self, small_catalog):
+        hint = r"'cloud-bx' is not in the catalog \(did you mean: cloud-box, old-box\?\)"
+        with pytest.raises(CatalogError, match=hint):
+            Catalog(list(small_catalog), "cloud-bx")
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(CatalogError, match="cannot read"):
             load_catalog(tmp_path / "nope.csv")

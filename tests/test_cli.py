@@ -1,20 +1,27 @@
 """The command-line interface, exercised in-process through main()."""
 
+import contextlib
+import datetime as dt
+import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import migrent
 from migrent import write_trace
 from migrent.cli import main
 
-from conftest import constant_trace, far_stamp_trace
+from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace
 
 CATALOG_TEXT = """\
 model_name,spec_score,tdp_watts,release_date,cores,cloud
@@ -137,6 +144,15 @@ class TestAnalyze:
         )
         assert code == 2
 
+    def test_duplicate_targets_exit_2(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "analyze", str(data_dir / "const-04.csv"), "old-box",
+            "--catalog", str(data_dir / "catalog.csv"), "--targets", "0.5,0.5000001,0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert error_payload(err)["message"] == "duplicate target utilization 0.5 in '0.5,0.5000001,0.5'"
+
     def test_bad_baseline_rejected_by_argparse(self, data_dir):
         with pytest.raises(SystemExit):
             main([
@@ -233,6 +249,17 @@ class TestFleet:
         code, _, err = run(capsys, "fleet", str(manifest), "--targets", "0.8")
         assert code == 4
         assert error_payload(err)["type"] == "FleetError"
+
+    def test_duplicate_targets_exit_2(self, capsys, corpus, tmp_path):
+        # both would be written to cdf_<scenario>_0.8.csv
+        code, out, err = run(
+            capsys, "fleet", str(corpus / "manifest.csv"), "--targets", "0.8,0.80000001",
+            "--emit-csv", str(tmp_path / "csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "duplicate target utilization 0.8" in error_payload(err)["message"]
+        assert not (tmp_path / "csv").exists()
 
     def test_jobs_help_names_the_cpu_count_default(self, capsys):
         with pytest.raises(SystemExit):
@@ -415,6 +442,157 @@ class TestConfigFile:
             "--catalog", str(data_dir / "catalog.csv"), "--config", str(config),
         )
         assert code == 2
+
+
+ANALYSIS_FLAGS = {
+    "--targets": "0.7",
+    "--baseline": "static-resized",
+    "--idle-fraction": "0.3",
+    "--linear-mix": "0.5",
+    "--window-seconds": "600",
+    "--percentile": "90",
+    "--min-days": "2",
+}
+
+
+class TestOptionGroups:
+    @pytest.mark.parametrize("flag", ANALYSIS_FLAGS)
+    @pytest.mark.parametrize("command", [
+        ["synth", "--out", "unused"],
+        ["catalog", "list"],
+        ["catalog", "show", "fx-quad-2011"],
+        ["catalog", "ce", "fx-quad-2011"],
+    ])
+    def test_analysis_flags_rejected_where_nothing_reads_them(self, capsys, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, ANALYSIS_FLAGS[flag]])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "unused").exists()
+
+    def test_analyze_takes_every_analysis_flag_like_the_config(self, capsys, data_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "targets": [0.7], "baseline": "static-resized", "idle_fraction": 0.3, "linear_mix": 0.5,
+            "window_seconds": 600, "percentile": 90, "min_days": 2,
+        }))
+        base = ("analyze", str(data_dir / "short.csv"), "old-box", "--catalog", str(data_dir / "catalog.csv"))
+        flags = [part for item in ANALYSIS_FLAGS.items() for part in item]
+        by_flags = run_json(capsys, *base, *flags)
+        by_config = run_json(capsys, *base, "--config", str(config))
+        assert by_flags == by_config
+        assert [row["target"] for row in by_flags["targets"]] == [0.7]
+
+    def test_fleet_takes_every_analysis_flag(self, capsys, corpus):
+        flags = [part for item in ANALYSIS_FLAGS.items() for part in item]
+        payload = run_json(capsys, "fleet", str(corpus / "manifest.csv"), "--jobs", "1", *flags)
+        assert payload["baseline"] == "static-resized"
+        assert payload["targets"] == [0.7]
+
+    @pytest.mark.parametrize("command", [["catalog", "list"], ["synth", "--machines", "1", "--datacenters", "1",
+                                                              "--duration-days", "1"]])
+    def test_config_with_analysis_keys_serves_every_command(self, capsys, tmp_path, command):
+        # values no catalog or synth run reads are not checked by them
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"targets": [7], "baseline": "nope", "min_days": 2, "jobs": 0}))
+        if command[0] == "synth":
+            command = [*command, "--out", str(tmp_path / "corpus")]
+        code, _, err = run(capsys, *command, "--config", str(config))
+        assert code == 0, err
+        config.write_text(json.dumps({"min_days": 2, "bogus": 1}))
+        code, _, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert "unknown keys: bogus" in error_payload(err)["message"]
+
+    def test_duplicate_targets_in_config_exit_2(self, capsys, data_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"targets": [0.8, 0.8]}))
+        code, _, err = run(
+            capsys, "analyze", str(data_dir / "const-04.csv"), "old-box", "--config", str(config),
+        )
+        assert code == 2
+        assert "duplicate target utilization 0.8" in error_payload(err)["message"]
+
+    def test_synth_help_shows_the_param_range_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for what, default in (
+            ("trace length range in days", migrent.ParamRanges().duration_days),
+            ("sample noise stddev range", migrent.ParamRanges().noise_stddev),
+            ("allowed sample periods in seconds", migrent.ParamRanges().sample_periods),
+        ):
+            assert f"{what} (default: {','.join(f'{v:g}' for v in default)})" in help_text
+
+
+# A clean hourly trace; each fuzz case breaks one copy of it in one way.
+_HOURLY_ROWS = 8 * 24
+
+
+def _stamp(posix: float, offset_hours: int = 0) -> str:
+    local = dt.datetime.fromtimestamp(posix, dt.timezone(dt.timedelta(hours=offset_hours)))
+    return local.isoformat()
+
+
+@st.composite
+def malformed_traces(draw) -> bytes:
+    """A trace file no reader may accept, as bytes."""
+    kind = draw(st.sampled_from(["bytes", "truncated", "non-finite", "huge", "duplicate", "offset"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=2048))
+    times = POSIX_2016_06_01 + 3600.0 * np.arange(_HOURLY_ROWS)
+    rows = [f"{_stamp(t)[:19]}Z,{draw(st.integers(0, 100))}" for t in times]
+    i = draw(st.integers(1, _HOURLY_ROWS - 1))
+    stamp, percent = rows[i].split(",")
+    if kind == "truncated":  # cut inside the stamp or just after the comma
+        rows[i] = rows[i][:draw(st.integers(1, len(stamp) + 1))]
+    elif kind == "non-finite":
+        rows[i] = f"{stamp},{draw(st.sampled_from(['nan', 'NaN', 'inf', '-inf', 'Infinity']))}"
+    elif kind == "huge":  # past the hourly span bound, past year 9999, or a far timestamp mid-trace
+        big = draw(st.sampled_from(["9999-12-31T23:59:59Z", "99999-01-01T00:00:00Z", "1e300"]))
+        i = draw(st.sampled_from([i, _HOURLY_ROWS - 1]))
+        rows[i] = f"{big},{percent}"
+    elif kind == "duplicate":
+        rows[i] = f"{rows[i - 1].split(',')[0]},{percent}"
+    else:  # the previous instant in another zone, or an offset out of range
+        hours = draw(st.integers(-12, 14).filter(bool))
+        shifted = _stamp(times[i - 1], hours)
+        rows[i] = f"{draw(st.sampled_from([shifted, stamp[:19] + '+24:00']))},{percent}"
+    text = "timestamp,cpu_utilization_percent\n" + "\n".join(rows) + "\n"
+    return text.encode()
+
+
+class TestFleetFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(bad=st.lists(malformed_traces(), min_size=1, max_size=3), with_good=st.booleans())
+    def test_malformed_trace_files_are_excluded(self, bad, with_good):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            lines = ["machine_id,trace_path,cpu_model,datacenter_id"]
+            for k, data in enumerate(bad):
+                (root / f"bad{k}.csv").write_bytes(data)
+                lines.append(f"bad{k},bad{k}.csv,fx-quad-2011,dc0")
+            if with_good:
+                write_trace(constant_trace(0.4, machine_id="good"), root / "good.csv")
+                lines.append("good,good.csv,fx-quad-2011,dc0")
+            (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["fleet", str(root / "manifest.csv"), "--jobs", "1", "--targets", "0.8"])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        bad_ids = [f"bad{k}" for k in range(len(bad))]
+        if with_good:
+            assert code == 0, err
+            payload = json.loads(out)
+            assert [e["machine_id"] for e in payload["exclusions"]] == bad_ids
+            assert [m["machine_id"] for m in payload["machines"]] == ["good"]
+        else:
+            assert code == 4
+            assert out == ""
+            assert err.count("\n") == 1
+            assert error_payload(err)["type"] == "FleetError"
+            assert error_payload(err)["message"] == f"all {len(bad)} machines failed to analyze"
 
 
 class TestEntrypoints:

@@ -87,6 +87,22 @@ class TestScaledPower:
         with pytest.raises(ValueError):
             scaled_power(model, 0.5, 0.0)
 
+    @pytest.mark.parametrize("utilization", [-0.5, math.nan, math.inf, [0.2, -1e-9]])
+    def test_negative_or_non_finite_utilization_rejected(self, model, utilization):
+        with pytest.raises(ValueError, match="utilization must be finite and non-negative"):
+            scaled_power(model, utilization, 1.0)
+
+    def test_demand_beyond_capacity_runs_at_full_load(self, model):
+        assert scaled_power(model, 7.0, 1.0) == 1.0
+        assert scaled_power(model, 7.0, 2.0) == 2.0
+
+    def test_valid_arrays_match_the_clipped_curve_exactly(self, model):
+        rng = np.random.default_rng(11)
+        u = np.concatenate((rng.uniform(0.0, 1.0, 2000), [0.0, -0.0, 1.0, 0.5]))
+        for c in (0.3, 0.5, 1.0, 2.0, rng.uniform(0.1, 2.0, u.size)):
+            expected = relative_power(model, np.clip(u / c, 0.0, 1.0)) * c
+            np.testing.assert_array_equal(scaled_power(model, u, c), expected)
+
 
 class TestMarginalProperties:
     def test_threshold_value(self, model):

@@ -139,6 +139,10 @@ class TestCdf:
 
 
 class TestAggregate:
+    def test_no_targets_rejected(self, small_catalog):
+        with pytest.raises(ValueError, match="at least one target"):
+            aggregate([fake_report("m1", "dc-a", ls=0.5)], [], [], small_catalog)
+
     def test_machine_and_datacenter_means_weight_differently(self, small_catalog):
         reports = [
             fake_report("m1", "dc-a", ls=0.2),
@@ -387,6 +391,17 @@ class TestWriteCsvReports:
         expected = fleet.cdfs[(scenario, target)]
         assert len(cdf_rows) == 1 + len(expected)
         assert float(cdf_rows[-1][1]) == 1.0
+
+    def test_table_headers_are_the_row_keys(self, small_catalog, tmp_path):
+        fleet = aggregate([fake_report("m1", "dc-a", ls=0.5)], [], [0.8], small_catalog)
+        write_csv_reports(fleet, tmp_path)
+        for name, rows in (
+            ("mean_table", fleet.means),
+            ("size_bins", fleet.size_bins),
+            ("util_by_release", fleet.utilization_by_release),
+        ):
+            with (tmp_path / f"{name}.csv").open() as f:
+                assert next(csv.reader(f)) == list(rows[0])
 
     def test_none_serializes_as_empty_cell(self, small_catalog, tmp_path):
         fleet = aggregate(

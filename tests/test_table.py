@@ -8,7 +8,7 @@ from migrent import CatalogError, ManifestError, MigrentError, TraceError
 from migrent.catalog import load_catalog
 from migrent.energy import load_power_samples
 from migrent.fleet import load_manifest
-from migrent.table import read_table
+from migrent.table import read_table, write_table
 from migrent.trace import parse_trace
 
 LOADERS = [
@@ -51,6 +51,13 @@ def test_decode_error_in_a_stream_has_no_line():
     with pytest.raises(TraceError, match=r"^not UTF-8 text") as info:
         parse_trace(stream)
     assert info.value.line is None
+
+
+def test_written_table_reads_back(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ("a", "b"), [("x,y", "1"), ("", "2")])
+    assert path.read_bytes() == b'a,b\n"x,y",1\n,2\n'
+    assert list(read_table(path, ("a", "b"), MigrentError, "test")) == [(2, ["x,y", "1"]), (3, ["", "2"])]
 
 
 def test_blank_rows_skipped_and_lines_counted():
