@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -96,6 +97,27 @@ def _parse_baseline(raw) -> str:
     return baseline
 
 
+def _parse_window_seconds(raw) -> float:
+    window = float(raw)
+    if not (math.isfinite(window) and window > 0.0):
+        raise MigrentError(f"window_seconds must be finite and positive, got {window}")
+    return window
+
+
+def _parse_percentile(raw) -> float:
+    percentile = float(raw)
+    if not 0.0 < percentile <= 100.0:
+        raise MigrentError(f"percentile must be in (0, 100], got {percentile}")
+    return percentile
+
+
+def _parse_min_days(raw) -> int:
+    min_days = int(raw)
+    if min_days < 1:
+        raise MigrentError(f"min_days must be at least 1, got {min_days}")
+    return min_days
+
+
 def _parse_jobs(raw) -> int:
     jobs = int(raw)
     if jobs < 1:
@@ -109,9 +131,9 @@ _CONVERT = {
     "baseline": _parse_baseline,
     "idle_fraction": float,
     "linear_mix": float,
-    "window_seconds": float,
-    "percentile": float,
-    "min_days": int,
+    "window_seconds": _parse_window_seconds,
+    "percentile": _parse_percentile,
+    "min_days": _parse_min_days,
     "jobs": _parse_jobs,
 }
 
@@ -278,8 +300,8 @@ def _numbers(raw: str, cast) -> tuple:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    catalog = settings.load_catalog()
     model = settings.energy_model()
+    catalog = settings.load_catalog()
     trace_path = Path(args.trace)
     machine_id = args.machine_id or trace_path.stem
     trace = parse_trace(trace_path, machine_id=machine_id)
@@ -291,8 +313,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    catalog = settings.load_catalog()
     model = settings.energy_model()
+    catalog = settings.load_catalog()
     manifest_path = Path(args.manifest)
     entries = fleet_mod.load_manifest(manifest_path)
     csv_dir = _ensure_writable_dir(args.emit_csv) if args.emit_csv else None

@@ -17,6 +17,17 @@ Scenarios, in increasing order of operational change:
 * autoscale_hourly: capacity is fixed within each clock-aligned UTC hour,
   sized so that hour's observed maximum lands on the target utilization.
 
+Every energy is the trapezoid rule over the samples, Σ wᵢ·c·power(min(uᵢ / c, 1))
+with wᵢ half the sum of sample i's two adjacent intervals, and is evaluated
+in moment form. The power curve is quadratic, so below capacity c the term
+c·power(u / c) = a·c + (1 − a)·(m·u + (1 − m)·u² / c) is a weighted sum of
+1, u and u²; samples above c run at full power and contribute c·w. Sorting
+the samples once by utilization and prefix-summing w, w·u and w·u² lets one
+binary search give the energy at any capacity, so each target costs
+O(log n), not a pass over the samples. The hourly scenario splits the trace
+at clock hours and measures each segment endpoint in units of its hour's
+maximum: every hour then has capacity 1 / target, and the same query serves.
+
 The public ``*_fraction`` functions are views of the same energy functions
 ``analyze_machine`` uses (each written once), so they return its exact numbers.
 """
@@ -156,17 +167,70 @@ def _check_peak(peak: float) -> float:
     return float(peak)
 
 
-def _on_prem_energy(trace: UtilizationTrace, model: EnergyModel) -> float:
+@dataclass(frozen=True)
+class _Moments:
+    """Weighted utilizations sorted ascending, with prefix sums of their moments.
+
+    ``lo_w[k]``, ``lo_u[k]`` and ``lo_uu[k]`` sum w, w·u and w·u² over the
+    k lowest values, plus a base: the same sums over values kept out of the
+    sort because no queried capacity is below them. ``hi_w[k]`` sums w over
+    the values from the k-th on.
+    """
+
+    machine_id: str
+    sorted_u: np.ndarray
+    lo_w: np.ndarray
+    lo_u: np.ndarray
+    lo_uu: np.ndarray
+    hi_w: np.ndarray
+
+
+def _sorted_moments(machine_id: str, values: np.ndarray, weights: np.ndarray, base=(0.0, 0.0, 0.0)) -> _Moments:
+    order = np.argsort(values)
+    u, w = values[order], weights[order]
+    wu = w * u  # w·u² as (w·u)·u: u·u alone overflows for a large hourly ratio u / max_h
+    base_w, base_u, base_uu = base
+    return _Moments(
+        machine_id,
+        u,
+        np.cumsum(np.concatenate(([base_w], w))),
+        np.cumsum(np.concatenate(([base_u], wu))),
+        np.cumsum(np.concatenate(([base_uu], wu * u))),
+        np.concatenate((np.cumsum(w[::-1])[::-1], [0.0])),
+    )
+
+
+def _sample_moments(trace: UtilizationTrace) -> _Moments:
+    """The samples with their trapezoid weights: half of each adjacent interval."""
+    half = 0.5 * np.diff(trace.times)
+    weights = np.concatenate((half, [0.0])) + np.concatenate(([0.0], half))
+    return _sorted_moments(trace.machine_id, trace.values, weights)
+
+
+def _capacity_energy(moments: _Moments, model: EnergyModel, capacity: float) -> float:
+    """The sum of w·c·power(min(u / c, 1)) at capacity c, from the moments.
+
+    Below c, c·power(u / c) = a·c + (1 − a)·(m·u + (1 − m)·u² / c), which is
+    linear in 1, u and u²; values above c run at full power, c.
+    """
+    a = model.idle_fraction
+    m = model.linear_mix
+    k = int(moments.sorted_u.searchsorted(capacity, side="right"))
+    loaded = m * moments.lo_u[k] + (1.0 - m) * moments.lo_uu[k] / capacity
+    below = a * capacity * moments.lo_w[k] + (1.0 - a) * loaded
+    return float(below + capacity * moments.hi_w[k])
+
+
+def _on_prem_energy(moments: _Moments, model: EnergyModel) -> float:
     """Trapezoid energy of the unresized machine, the lift-and-shift baseline."""
-    return integrate(trace, lambda u: power_unchecked(model, u))
+    return _capacity_energy(moments, model, 1.0)
 
 
-def _resized_energy(trace: UtilizationTrace, model: EnergyModel, peak: float, target: float) -> float:
-    """Energy of the static instance of capacity c = peak / target: integral of c * power(min(u / c, 1))."""
+def _resized_energy(moments: _Moments, model: EnergyModel, peak: float, target: float) -> float:
+    """Trapezoid energy of the static instance of capacity c = peak / target."""
     if peak == 0.0:
-        raise IdleMachineError(f"{trace.machine_id}: peak utilization is 0, static resizing is undefined")
-    capacity = peak / target
-    return integrate(trace, lambda u: power_unchecked(model, np.clip(u / capacity, 0.0, 1.0)) * capacity)
+        raise IdleMachineError(f"{moments.machine_id}: peak utilization is 0, static resizing is undefined")
+    return _capacity_energy(moments, model, peak / target)
 
 
 def _ideal_energy(model: EnergyModel, target: float, demand: float) -> float:
@@ -183,10 +247,11 @@ def _baseline_energy(
     trace: UtilizationTrace, model: EnergyModel, baseline: str, target: float, peak: float | None
 ) -> float:
     """Denominator of an auto-scaling fraction; the static baseline estimates a missing peak."""
+    moments = _sample_moments(trace)
     if baseline == BASELINE_LIFT_AND_SHIFT:
-        return _on_prem_energy(trace, model)
+        return _on_prem_energy(moments, model)
     peak = estimate_peak(trace) if peak is None else _check_peak(peak)
-    return _resized_energy(trace, model, peak, target)
+    return _resized_energy(moments, model, peak, target)
 
 
 def static_resize_fraction(
@@ -203,7 +268,8 @@ def static_resize_fraction(
     over the same trace.
     """
     target, peak = _check_target(target), _check_peak(peak)
-    return _resized_energy(trace, model, peak, target) / _on_prem_energy(trace, model)
+    moments = _sample_moments(trace)
+    return _resized_energy(moments, model, peak, target) / _on_prem_energy(moments, model)
 
 
 def combined_fraction(
@@ -252,17 +318,18 @@ def hourly_capacities(trace: UtilizationTrace, target: float) -> tuple[np.ndarra
     POSIX seconds, capacities).
     """
     target = _check_target(target)
-    first_hour, n_hours, _, _, _, _, hour_max = _hourly_split(trace)
-    starts = (first_hour + np.arange(n_hours)) * _SECONDS_PER_HOUR
+    first_hour, hour_max, _ = _hourly_split(trace)
+    starts = (first_hour + np.arange(hour_max.size)) * _SECONDS_PER_HOUR
     return starts, hour_max / target
 
 
 def _hourly_split(trace: UtilizationTrace):
     """Split the trace at hour boundaries and find each hour's sample maximum.
 
-    Returns (first_hour_index, n_hours, split_times, split_values,
-    segment_hour_index, segment_durations, hour_max). Hours that contain no
-    raw sample (inside a long gap) fall back to the maximum of the
+    Returns (first_hour_index, hour_max, segments), where segments is
+    (segment_hour_index, left_values, right_values, half_durations) over
+    the pieces between sample times and hour boundaries. Hours that contain
+    no raw sample (inside a long gap) fall back to the maximum of the
     interpolated segment endpoints so their capacity is still defined.
     """
     t = trace.times
@@ -273,36 +340,57 @@ def _hourly_split(trace: UtilizationTrace):
     if n_hours > _MAX_HOURS:
         raise TraceError(f"trace spans {n_hours} clock hours, the hourly scenario allows at most {_MAX_HOURS}")
 
+    # times are sorted, so each hour's samples and segments are one run of
+    # indices, found by searching for the hour boundaries
     bounds = np.arange(first_hour + 1, last_hour + 1, dtype=np.float64) * _SECONDS_PER_HOUR
-    ts = np.union1d(t, bounds)
-    us = np.interp(ts, t, u)
-    durations = np.diff(ts)
+    at = np.searchsorted(t, bounds)  # first sample at or after each boundary
+    starts = np.concatenate(([0], at))
+    has_sample = np.diff(starts, append=t.size) > 0
+    hour_max = np.maximum.reduceat(u, starts)  # an hour without samples is replaced below
+
+    new = t[at] != bounds  # boundaries that are not already sample times
+    ts = np.insert(t, at[new], bounds[new])
+    us = np.insert(u, at[new], np.interp(bounds[new], t, u))
     mids = 0.5 * (ts[:-1] + ts[1:])
-    seg_hour = (mids // _SECONDS_PER_HOUR).astype(np.int64) - first_hour
+    per_hour = np.diff(np.searchsorted(mids, bounds), prepend=0, append=mids.size)
+    seg_hour = np.repeat(np.arange(n_hours), per_hour)
+    left, right = us[:-1], us[1:]
 
-    hour_max = np.full(n_hours, -1.0)
-    sample_hour = (t // _SECONDS_PER_HOUR).astype(np.int64) - first_hour
-    np.maximum.at(hour_max, sample_hour, u)
-    missing = hour_max < 0.0
-    if missing.any():
-        endpoint_max = np.maximum(us[:-1], us[1:])
+    if not has_sample.all():
         fallback = np.full(n_hours, -1.0)
-        np.maximum.at(fallback, seg_hour, endpoint_max)
-        hour_max = np.where(missing, fallback, hour_max)
+        np.maximum.at(fallback, seg_hour, np.maximum(left, right))
+        hour_max = np.where(has_sample, hour_max, fallback)
 
-    return first_hour, n_hours, ts, us, seg_hour, durations, hour_max
+    return first_hour, hour_max, (seg_hour, left, right, 0.5 * np.diff(ts))
 
 
-def _hourly_energy(split, target: float, model: EnergyModel) -> float:
+def _hour_moments(trace: UtilizationTrace) -> _Moments:
+    """The hour-split segment endpoints, each in units of its hour's maximum.
+
+    Every segment gives half its duration as weight to each endpoint. In
+    hour h the capacity is c_h = max_h / target, and an endpoint u of weight
+    w draws w·c_h·power(min(u / c_h, 1)). With v = u / max_h and weight
+    w·max_h that is the same term at capacity 1 / target, so one query at
+    1 / target gives the whole hourly energy. Endpoints with v <= 1 never
+    clip and go into the base; only an hour-boundary endpoint can lie above
+    its hour's maximum. Hours whose maximum is 0 are powered off and left out.
+    """
+    _, hour_max, (seg_hour, left, right, half) = _hourly_split(trace)
+    seg_max = hour_max[seg_hour]
+    on = seg_max > 0.0
+    seg_max, half = seg_max[on], half[on]
+    v = np.concatenate((left[on] / seg_max, right[on] / seg_max))
+    w = np.tile(half * seg_max, 2)
+    over = v > 1.0
+    kept_v, kept_w = v[~over], w[~over]
+    kept_wv = kept_w * kept_v
+    base = (np.sum(kept_w), np.sum(kept_wv), np.sum(kept_wv * kept_v))
+    return _sorted_moments(trace.machine_id, v[over], w[over], base)
+
+
+def _hourly_energy(hours: _Moments, target: float, model: EnergyModel) -> float:
     """Trapezoid energy of the hourly-rescaled instance over the whole trace."""
-    _, _, _, us, seg_hour, durations, hour_max = split
-    capacity = hour_max[seg_hour] / target
-    active = capacity > 0.0
-    safe_c = np.where(active, capacity, 1.0)
-    left = power_unchecked(model, np.clip(us[:-1] / safe_c, 0.0, 1.0))
-    right = power_unchecked(model, np.clip(us[1:] / safe_c, 0.0, 1.0))
-    per_segment = np.where(active, 0.5 * (left + right) * safe_c * durations, 0.0)
-    return float(np.sum(per_segment))
+    return _capacity_energy(hours, model, 1.0 / target)
 
 
 def autoscale_hourly_fraction(
@@ -320,7 +408,7 @@ def autoscale_hourly_fraction(
     """
     target = _check_target(target)
     denominator = _baseline_energy(trace, model, _check_baseline(baseline), target, peak)
-    return _ratio(_hourly_energy(_hourly_split(trace), target, model), denominator)
+    return _ratio(_hourly_energy(_hour_moments(trace), target, model), denominator)
 
 
 def _gap_warnings(trace: UtilizationTrace) -> tuple[str, ...]:
@@ -358,19 +446,20 @@ def analyze_machine(
     idle = peak == 0.0
 
     demand = integrate(trace)
-    den_ls = _on_prem_energy(trace, model)
-    split = _hourly_split(trace)
+    hours = _hour_moments(trace)  # first, so the split's temporaries are freed before the sort
+    moments = _sample_moments(trace)
+    den_ls = _on_prem_energy(moments, model)
 
     rows = []
     for target in targets:
         num_ideal = _ideal_energy(model, target, demand)
-        num_hourly = _hourly_energy(split, target, model)
+        num_hourly = _hourly_energy(hours, target, model)
         vs_ls = {"ideal": _ratio(num_ideal, den_ls), "hourly": _ratio(num_hourly, den_ls)}
         if idle:
             static = combined = None
             vs_sr = {"ideal": None, "hourly": None}
         else:
-            den_sr = _resized_energy(trace, model, peak, target)
+            den_sr = _resized_energy(moments, model, peak, target)
             static = den_sr / den_ls
             combined = ls * static
             vs_sr = {"ideal": _ratio(num_ideal, den_sr), "hourly": _ratio(num_hourly, den_sr)}

@@ -280,8 +280,8 @@ def smooth(trace: UtilizationTrace, window_seconds: float = DEFAULT_WINDOW_SECON
     signal is extended flat at the first value, so the earliest outputs are
     averaged against that level. Output timestamps equal input timestamps.
     """
-    if not window_seconds > 0:
-        raise ValueError(f"window_seconds must be positive, got {window_seconds}")
+    if not (math.isfinite(window_seconds) and window_seconds > 0):
+        raise ValueError(f"window_seconds must be finite and positive, got {window_seconds}")
     t = trace.times
     u = trace.values
     window = float(window_seconds)

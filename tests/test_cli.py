@@ -104,6 +104,17 @@ class TestAnalyze:
         assert code == 2
         assert "nope.csv" in error_payload(err)["message"]
 
+    def test_infinite_window_exits_2(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "analyze", str(data_dir / "const-04.csv"), "old-box",
+            "--catalog", str(data_dir / "catalog.csv"), "--window-seconds", "inf",
+        )
+        assert code == 2
+        assert out == ""
+        assert error_payload(err) == {
+            "type": "MigrentError", "message": "window_seconds must be finite and positive, got inf",
+        }
+
     def test_short_trace_exits_3(self, capsys, data_dir):
         code, _, err = run(
             capsys, "analyze", str(data_dir / "short.csv"), "old-box",
@@ -259,6 +270,35 @@ class TestFleet:
         assert code == 2
         assert out == ""
         assert "duplicate target utilization 0.8" in error_payload(err)["message"]
+        assert not (tmp_path / "csv").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("percentile", 150, "percentile must be in (0, 100], got 150.0"),
+        ("percentile", 0, "percentile must be in (0, 100], got 0.0"),
+        ("window_seconds", -5, "window_seconds must be finite and positive, got -5.0"),
+        ("window_seconds", float("inf"), "window_seconds must be finite and positive, got inf"),
+        ("window_seconds", float("nan"), "window_seconds must be finite and positive, got nan"),
+        ("min_days", 0, "min_days must be at least 1, got 0"),
+        ("idle_fraction", 1.5, "idle_fraction must be in [0, 1), got 1.5"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_analysis_setting_fails_before_any_work(self, capsys, tmp_path, key, value, message, source):
+        # the catalog and manifest do not exist: reading either would fail with another error
+        missing = tmp_path / "missing"
+        args = [
+            "fleet", str(missing / "manifest.csv"), "--jobs", "2",
+            "--catalog", str(missing / "catalog.csv"), "--emit-csv", str(tmp_path / "csv"),
+        ]
+        if source == "flag":
+            args += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))
+            args += ["--config", str(config)]
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert error_payload(err) == {"type": "MigrentError", "message": message}
         assert not (tmp_path / "csv").exists()
 
     def test_jobs_help_names_the_cpu_count_default(self, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from migrent import (
     BASELINE_LIFT_AND_SHIFT,
@@ -24,11 +26,21 @@ from migrent import (
     relative_power,
     scaled_power,
     static_resize_fraction,
+    SynthParams,
+    generate_trace,
 )
-from migrent.scenarios import _MAX_HOURS
+from migrent.scenarios import (
+    _MAX_HOURS,
+    _hour_moments,
+    _hourly_energy,
+    _on_prem_energy,
+    _resized_energy,
+    _sample_moments,
+)
 
 from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace, make_trace
 from oracles import (
+    curve,
     hourly_fraction_ref,
     ideal_fraction_ref,
     random_walk_trace,
@@ -424,3 +436,115 @@ class TestAnalyzeMachine:
         den_flat = integrate(flat, lambda u: relative_power(model, u))
         den_bursty = integrate(bursty, lambda u: relative_power(model, u))
         assert den_bursty > den_flat
+
+
+# numpy 2 renamed trapz; fall back for older installs
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+_HOUR = 3600.0
+
+
+def per_sample_energy(t, u, a, m, capacity):
+    """Reference: the trapezoid rule over c * power(min(u / c, 1)), evaluated at every sample."""
+    return float(_trapezoid(capacity * curve(a, m, np.minimum(u / capacity, 1.0)), t))
+
+
+def per_segment_hourly_energy(t, u, a, m, target):
+    """Reference: the hourly energy summed segment by segment, with each hour's maximum.
+
+    The trace is split at clock hours by interpolation. An hour's maximum is
+    its largest sample, or for an hour inside a gap, the largest endpoint of
+    its segments; capacity is that maximum over the target, and an hour of
+    capacity 0 draws nothing.
+    """
+    first, last = int(t[0] // _HOUR), int(t[-1] // _HOUR)
+    bounds = np.arange(first + 1, last + 1, dtype=float) * _HOUR
+    ts = np.union1d(t, bounds)
+    us = np.interp(ts, t, u)
+    seg_hour = (0.5 * (ts[:-1] + ts[1:]) // _HOUR).astype(np.int64) - first
+    hour_max = np.full(last - first + 1, -1.0)
+    np.maximum.at(hour_max, (t // _HOUR).astype(np.int64) - first, u)
+    fallback = np.full(hour_max.size, -1.0)
+    np.maximum.at(fallback, seg_hour, np.maximum(us[:-1], us[1:]))
+    hour_max = np.where(hour_max < 0.0, fallback, hour_max)
+    capacity = hour_max[seg_hour] / target
+    active = capacity > 0.0
+    c = np.where(active, capacity, 1.0)
+    left = curve(a, m, np.minimum(us[:-1] / c, 1.0))
+    right = curve(a, m, np.minimum(us[1:] / c, 1.0))
+    per_segment = np.where(active, 0.5 * (left + right) * c * np.diff(ts), 0.0)
+    return float(np.sum(per_segment)), hour_max
+
+
+def assert_moment_kernel_matches(trace, model, peak, targets):
+    t, u = trace.times, trace.values
+    a, m = model.idle_fraction, model.linear_mix
+    moments, hours = _sample_moments(trace), _hour_moments(trace)
+    assert _on_prem_energy(moments, model) == pytest.approx(per_sample_energy(t, u, a, m, 1.0), rel=1e-12)
+    for target in targets:
+        if peak > 0.0:
+            want = per_sample_energy(t, u, a, m, peak / target)
+            assert _resized_energy(moments, model, peak, target) == pytest.approx(want, rel=1e-12), target
+        want, hour_max = per_segment_hourly_energy(t, u, a, m, target)
+        assert _hourly_energy(hours, target, model) == pytest.approx(want, rel=1e-12), target
+        assert np.array_equal(hourly_capacities(trace, target)[1], hour_max / target)
+
+
+_LEVELS = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 1_000_000).map(lambda k: k / 1e6))
+
+
+@st.composite
+def hour_block_traces(draw):
+    """Traces built from blocks of samples: busy, all zero, or after a gap longer than an hour."""
+    t = POSIX_2016_06_01 + draw(st.sampled_from([0.0, 0.0, 0.25, 1799.5]))  # on an hour boundary or not
+    times, values = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["busy", "zero", "gap"]))
+        if kind == "gap":
+            t += draw(st.sampled_from([_HOUR, 1.5 * _HOUR, 2.5 * _HOUR, 26 * _HOUR]))
+        step = draw(st.sampled_from([30.0, 300.0, 900.0, 1234.5]))
+        for _ in range(draw(st.integers(1, 14))):
+            times.append(t)
+            values.append(0.0 if kind == "zero" else draw(_LEVELS))
+            t += step
+    assume(len(times) >= 2)
+    return make_trace(times, values, machine_id="blocks")
+
+
+class TestMomentKernel:
+    """The moment-form energies against per-sample evaluation of the same trapezoid rule."""
+
+    def test_listed_cases(self):
+        # hour 0 rises from a sample on its start boundary; hour 1 is all zero;
+        # hour 2's next-hour sample (0.95, on the boundary) lies above its maximum 0.9;
+        # hours 4 and 5 fall inside a gap; hour 6 starts at an interpolated 0.39,
+        # above its maximum 0.3; the peak 0.7 is below the raw maximum 0.95
+        offsets = [0, 600, 1200, 1800, 2400, 3000] + [3600 + 600 * i for i in range(6)]
+        offsets += [7200, 7800, 8400, 9000, 9600, 10200, 10800, 11400, 23400, 24000]
+        values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.2] + [0.0] * 6
+        values += [0.9, 0.3, 0.3, 0.3, 0.3, 0.2, 0.95, 0.9, 0.3, 0.1]
+        trace = make_trace(POSIX_2016_06_01 + np.array(offsets, dtype=float), values)
+        _, hour_max = per_segment_hourly_energy(trace.times, trace.values, 0.33, 0.36, 1.0)
+        assert hour_max[1] == 0.0
+        assert hour_max[4:6] == pytest.approx([0.75, 0.57])  # from the interpolated boundaries
+        assert _hour_moments(trace).sorted_u.size == 2  # the two endpoints above their hour's maximum
+        for model in (EnergyModel(), EnergyModel(0.0, 0.0), EnergyModel(0.9, 1.0)):
+            assert_moment_kernel_matches(trace, model, 0.7, [0.01, 0.3, 0.5, 0.9, 0.96, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trace=hour_block_traces(),
+        idle=st.sampled_from([0.0, 0.33, 0.9]),
+        mix=st.sampled_from([0.0, 0.36, 1.0]),
+        peak_share=st.sampled_from([1.0, 0.8, 0.3]),
+        target=st.floats(0.01, 1.0),
+    )
+    def test_matches_per_sample_evaluation(self, trace, idle, mix, peak_share, target):
+        peak = float(trace.values.max()) * peak_share  # below the raw maximum, some samples clip
+        assert_moment_kernel_matches(trace, EnergyModel(idle, mix), peak, [0.01, target, 1.0])
+
+    def test_sweep_targets_on_a_synth_trace(self, model):
+        params = SynthParams(seed=3, duration_days=8, base_utilization=0.35,
+                             diurnal_amplitude=0.25, noise_stddev=0.05)
+        trace = generate_trace(params, "sweep")
+        targets = [round((k + 1) / 100, 6) for k in range(100)]
+        assert_moment_kernel_matches(trace, model, estimate_peak(trace), targets)

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import io
+import math
 
 import numpy as np
 import pytest
@@ -296,6 +297,12 @@ class TestSmooth:
         trace = make_trace([0.0, 1.0], [0.5, 0.6])
         with pytest.raises(ValueError):
             smooth(trace, 0.0)
+
+    @pytest.mark.parametrize("window", [-5.0, math.inf, -math.inf, math.nan])
+    def test_non_finite_or_negative_window_rejected(self, window):
+        trace = make_trace([0.0, 1.0], [0.5, 0.6])
+        with pytest.raises(ValueError, match="window_seconds must be finite and positive"):
+            smooth(trace, window)
 
     def test_matches_brute_force_on_random_traces(self):
         rng = np.random.default_rng(7)
