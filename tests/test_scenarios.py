@@ -14,20 +14,20 @@ from migrent import (
     IdleMachineError,
     InsufficientDataError,
     MachineRecord,
+    SynthParams,
     TraceError,
     analyze_machine,
     autoscale_hourly_fraction,
     autoscale_ideal_fraction,
     combined_fraction,
     estimate_peak,
+    generate_trace,
     hourly_capacities,
     integrate,
     lift_and_shift_fraction,
     relative_power,
     scaled_power,
     static_resize_fraction,
-    SynthParams,
-    generate_trace,
 )
 from migrent.scenarios import (
     _MAX_HOURS,
