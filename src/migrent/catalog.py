@@ -127,7 +127,7 @@ def _parse_bool(text: str, line: int) -> bool:
         return True
     if lowered == "false":
         return False
-    raise CatalogError(f"line {line}: cloud must be 'true' or 'false', got {text!r}")
+    raise CatalogError(f"cloud must be 'true' or 'false', got {text!r}", line=line)
 
 
 def load_catalog(source, cloud_reference: str | None = None) -> Catalog:
@@ -144,26 +144,26 @@ def load_catalog(source, cloud_reference: str | None = None) -> Catalog:
         name = row[0].strip()
         if name in entries:
             raise CatalogError(
-                f"line {line}: duplicate model {name!r} (first defined on line {seen_lines[name]})"
+                f"duplicate model {name!r} (first defined on line {seen_lines[name]})", line=line
             )
         try:
             score = float(row[1])
             tdp = float(row[2])
         except ValueError as exc:
-            raise CatalogError(f"line {line}: {exc}") from None
+            raise CatalogError(str(exc), line=line) from None
         try:
             released = dt.date.fromisoformat(row[3].strip())
         except ValueError:
-            raise CatalogError(f"line {line}: release_date must be YYYY-MM-DD, got {row[3]!r}") from None
+            raise CatalogError(f"release_date must be YYYY-MM-DD, got {row[3]!r}", line=line) from None
         try:
             cores = int(row[4])
         except ValueError:
-            raise CatalogError(f"line {line}: cores must be an integer, got {row[4]!r}") from None
+            raise CatalogError(f"cores must be an integer, got {row[4]!r}", line=line) from None
         is_cloud = _parse_bool(row[5], line)
         try:
             entries[name] = CpuSpec(name, score, tdp, released, cores, is_cloud)
         except CatalogError as exc:
-            raise CatalogError(f"line {line}: {exc}") from None
+            raise CatalogError(str(exc), line=line) from None
         seen_lines[name] = line
 
     if not entries:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,11 +28,14 @@ from .catalog import bundled_catalog, compute_ce, lift_and_shift_fraction, load_
 from .energy import DEFAULT_IDLE_FRACTION, DEFAULT_LINEAR_MIX, EnergyModel
 from .errors import FleetError, InsufficientDataError, MigrentError
 from .report import dumps_stable, format_float
-from .scenarios import BASELINES, BASELINE_LIFT_AND_SHIFT, MachineRecord, analyze_machine
+from .scenarios import BASELINES, BASELINE_LIFT_AND_SHIFT, MachineRecord, analyze_machine, check_baseline, check_targets
 from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
     DEFAULT_WINDOW_SECONDS,
+    check_min_days,
+    check_percentile,
+    check_window_seconds,
     parse_trace,
 )
 
@@ -66,75 +68,60 @@ _DEFAULTS = {
 _ANALYSIS_KEYS = ("baseline", "window_seconds", "percentile", "min_days")
 
 
-def _parse_targets(raw) -> tuple[float, ...]:
-    if isinstance(raw, str):
-        parts = [p for p in raw.split(",") if p.strip()]
+def _strict(kind: type, check=lambda value: value):
+    """One setting's converter: a strict ``kind`` parse, then the library's ``check``.
+
+    Flag strings, config values and defaults all take this path. Booleans are
+    not numbers (``type(True)`` is ``bool``), and an integer setting refuses
+    "2.5" or 7.9 instead of truncating it.
+    """
+    accepted = (str, int, float) if kind is float else (str, int)
+    what = "a number" if kind is float else "an integer"
+
+    def convert(key: str, raw):
         try:
-            values = [float(p) for p in parts]
+            if type(raw) not in accepted:  # a list, null or boolean
+                raise TypeError(raw)
+            value = kind(raw)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an integer too large for a float
+            raise ValueError(f"{key} must be {what}, got {raw}") from None
+        return check(value)
+
+    return convert
+
+
+_number = _strict(float)
+
+
+def _parse_targets(key: str, raw) -> tuple[float, ...]:
+    if isinstance(raw, str):
+        try:
+            values = [_number(key, p) for p in raw.split(",") if p.strip()]
         except ValueError:
-            raise MigrentError(f"targets must be comma-separated numbers, got {raw!r}") from None
+            raise ValueError(f"targets must be comma-separated numbers, got {raw!r}") from None
     elif isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
+        values = [_number(key, v) for v in raw]
     else:
-        raise MigrentError(f"targets must be a list or comma-separated string, got {raw!r}")
-    if not values:
-        raise MigrentError("at least one target utilization is required")
+        raise ValueError(f"targets must be a list or comma-separated string, got {raw!r}")
     seen = set()
-    for v in values:
-        if not 0.0 < v <= 1.0:
-            raise MigrentError(f"target utilization must be in (0, 1], got {v}")
+    for v in check_targets(values):
         # reports and CSV file names show targets at output precision
         if (shown := format_float(v)) in seen:
-            raise MigrentError(f"duplicate target utilization {shown} in {raw!r}")
+            raise ValueError(f"duplicate target utilization {shown} in {raw!r}")
         seen.add(shown)
     return tuple(values)
-
-
-def _parse_baseline(raw) -> str:
-    baseline = str(raw)
-    if baseline not in BASELINES:
-        raise MigrentError(f"baseline must be one of {BASELINES}, got {baseline!r}")
-    return baseline
-
-
-def _parse_window_seconds(raw) -> float:
-    window = float(raw)
-    if not (math.isfinite(window) and window > 0.0):
-        raise MigrentError(f"window_seconds must be finite and positive, got {window}")
-    return window
-
-
-def _parse_percentile(raw) -> float:
-    percentile = float(raw)
-    if not 0.0 < percentile <= 100.0:
-        raise MigrentError(f"percentile must be in (0, 100], got {percentile}")
-    return percentile
-
-
-def _parse_min_days(raw) -> int:
-    min_days = int(raw)
-    if min_days < 1:
-        raise MigrentError(f"min_days must be at least 1, got {min_days}")
-    return min_days
-
-
-def _parse_jobs(raw) -> int:
-    jobs = int(raw)
-    if jobs < 1:
-        raise MigrentError(f"jobs must be at least 1, got {jobs}")
-    return jobs
 
 
 # how a flag, config or default value becomes a setting (absent: kept as is)
 _CONVERT = {
     "targets": _parse_targets,
-    "baseline": _parse_baseline,
-    "idle_fraction": float,
-    "linear_mix": float,
-    "window_seconds": _parse_window_seconds,
-    "percentile": _parse_percentile,
-    "min_days": _parse_min_days,
-    "jobs": _parse_jobs,
+    "baseline": lambda key, raw: check_baseline(str(raw)),
+    "idle_fraction": _number,  # checked together with linear_mix by EnergyModel
+    "linear_mix": _number,
+    "window_seconds": _strict(float, check_window_seconds),
+    "percentile": _strict(float, check_percentile),
+    "min_days": _strict(int, check_min_days),
+    "jobs": _strict(int, fleet_mod.check_jobs),
 }
 
 
@@ -161,14 +148,17 @@ class _Settings:
 
     def __init__(self, args: argparse.Namespace):
         config = _load_config(args.config)
-        for key, default in _DEFAULTS.items():
-            if not hasattr(args, key):
-                continue  # another subcommand's setting
-            value = getattr(args, key)
-            if value is None:
-                value = config.get(key, default)
-            convert = _CONVERT.get(key)
-            setattr(self, key, value if convert is None else convert(value))
+        try:
+            for key, default in _DEFAULTS.items():
+                if not hasattr(args, key):
+                    continue  # another subcommand's setting
+                value = getattr(args, key)
+                if value is None:
+                    value = config.get(key, default)
+                convert = _CONVERT.get(key)
+                setattr(self, key, value if convert is None else convert(key, value))
+        except ValueError as exc:
+            raise MigrentError(str(exc)) from None
         if self.catalog is None:
             self.catalog = os.environ.get(ENV_CATALOG) or None
 
@@ -207,15 +197,15 @@ def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
                        help=f"comma-separated target utilizations (default: {_shown(_DEFAULTS['targets'])})")
     group.add_argument("--baseline", choices=BASELINES,
                        help=f"denominator for auto-scaling fractions (default: {_DEFAULTS['baseline']})")
-    group.add_argument("--idle-fraction", dest="idle_fraction", type=float,
+    group.add_argument("--idle-fraction", dest="idle_fraction",
                        help=f"relative power at zero utilization (default: {_DEFAULTS['idle_fraction']:g})")
-    group.add_argument("--linear-mix", dest="linear_mix", type=float,
+    group.add_argument("--linear-mix", dest="linear_mix",
                        help=f"linear share of the loaded power curve (default: {_DEFAULTS['linear_mix']:g})")
-    group.add_argument("--window-seconds", dest="window_seconds", type=float,
+    group.add_argument("--window-seconds", dest="window_seconds",
                        help=f"smoothing window for peak estimation (default: {_DEFAULTS['window_seconds']:g})")
-    group.add_argument("--percentile", type=float,
+    group.add_argument("--percentile",
                        help=f"percentile of daily maxima used as the peak (default: {_DEFAULTS['percentile']:g})")
-    group.add_argument("--min-days", dest="min_days", type=int,
+    group.add_argument("--min-days", dest="min_days",
                        help=f"minimum days of data required (default: {_DEFAULTS['min_days']})")
 
 
@@ -238,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("manifest", help="manifest CSV (machine_id,trace_path,cpu_model,datacenter_id)")
     p_fleet.add_argument("--emit-csv", dest="emit_csv", metavar="DIR",
                          help="also write CDF/table CSVs into DIR")
-    p_fleet.add_argument("--jobs", type=int, help="worker processes (default: the number of CPUs)")
+    p_fleet.add_argument("--jobs", help="worker processes (default: the number of CPUs)")
     _add_catalog_options(p_fleet)
     _add_analysis_options(p_fleet)
 

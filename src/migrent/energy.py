@@ -135,7 +135,7 @@ def load_power_samples(source) -> list[PowerSample]:
         try:
             samples.append(PowerSample(float(row[0]) / 100.0, float(row[1])))
         except ValueError as exc:
-            raise MigrentError(f"line {line}: {exc}") from None
+            raise MigrentError(str(exc), line=line) from None
     return samples
 
 

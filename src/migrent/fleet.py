@@ -27,6 +27,7 @@ from .scenarios import (
     MachineRecord,
     ScenarioReport,
     analyze_machine,
+    check_targets,
 )
 from .table import read_table, write_table
 from .trace import (
@@ -68,10 +69,10 @@ def load_manifest(source) -> list[ManifestEntry]:
     for line, row in read_table(source, MANIFEST_COLUMNS, ManifestError, "manifest"):
         machine_id = row[0].strip()
         if not machine_id:
-            raise ManifestError(f"line {line}: machine_id must be non-empty")
+            raise ManifestError("machine_id must be non-empty", line=line)
         if machine_id in seen:
             raise ManifestError(
-                f"line {line}: duplicate machine_id {machine_id!r} (first on line {seen[machine_id]})"
+                f"duplicate machine_id {machine_id!r} (first on line {seen[machine_id]})", line=line
             )
         seen[machine_id] = line
         entries.append(ManifestEntry(machine_id, row[1].strip(), row[2].strip(), row[3].strip()))
@@ -163,7 +164,6 @@ def aggregate(
     targets: Sequence[float],
     catalog: Catalog,
     baseline: str = BASELINE_LIFT_AND_SHIFT,
-    bin_count: int = DEFAULT_SIZE_BINS,
 ) -> FleetReport:
     """Build the fleet-level summary from per-machine reports.
 
@@ -174,9 +174,7 @@ def aggregate(
     if not reports:
         raise FleetError("no machines to aggregate", exclusions)
     reports = tuple(sorted(reports, key=lambda r: r.machine_id))
-    targets = tuple(float(t) for t in targets)
-    if not targets:  # the means table then has a row per target and scenario
-        raise ValueError("at least one target utilization is required")
+    targets = tuple(check_targets(targets))  # the means table has a row per target and scenario
     by_dc = _group_by_datacenter(reports)
 
     means = []
@@ -201,7 +199,7 @@ def aggregate(
             if values:
                 cdfs[(scenario, target)] = cdf(values)
 
-    size_bins = group_by_size(reports, bin_count)
+    size_bins = group_by_size(reports)
     by_release = utilization_by_release(reports, catalog)
 
     return FleetReport(
@@ -280,6 +278,13 @@ def utilization_by_release(reports: Sequence[ScenarioReport], catalog: Catalog) 
     return out
 
 
+def check_jobs(jobs: int) -> int:
+    """The number of worker processes, at least 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def analyze_manifest(
     entries: Sequence[ManifestEntry],
     base_dir,
@@ -291,7 +296,6 @@ def analyze_manifest(
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     percentile: float = DEFAULT_PERCENTILE,
     min_days: int = DEFAULT_MIN_DAYS,
-    bin_count: int = DEFAULT_SIZE_BINS,
 ) -> FleetReport:
     """Analyze every machine in a manifest and aggregate the results.
 
@@ -299,8 +303,7 @@ def analyze_manifest(
     directory). With ``jobs > 1`` machines are analyzed in worker processes;
     results are identical to a sequential run.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
     # one picklable callable carries every setting to the workers
     analyze = partial(
         analyze_machine, targets=tuple(targets), model=model, catalog=catalog, baseline=baseline,
@@ -310,7 +313,8 @@ def analyze_manifest(
     if jobs == 1 or len(entries) <= 1:
         results = [work(entry) for entry in entries]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at the first submit, and at most one per row has work
+        with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
             results = list(pool.map(work, entries, chunksize=8))
 
     reports = []
@@ -324,7 +328,7 @@ def analyze_manifest(
         raise FleetError(
             f"all {len(exclusions)} machines failed to analyze", exclusions
         )
-    return aggregate(reports, exclusions, targets, catalog, baseline, bin_count)
+    return aggregate(reports, exclusions, targets, catalog, baseline)
 
 
 def _fmt(value) -> str:

@@ -155,7 +155,16 @@ def _check_target(target: float) -> float:
     return float(target)
 
 
-def _check_baseline(baseline: str) -> str:
+def check_targets(targets: Sequence[float]) -> list[float]:
+    """The target utilizations as floats: at least one, each in (0, 1]."""
+    checked = [_check_target(t) for t in targets]
+    if not checked:
+        raise ValueError("at least one target utilization is required")
+    return checked
+
+
+def check_baseline(baseline: str) -> str:
+    """The name of an auto-scaling baseline, one of ``BASELINES``."""
     if baseline not in BASELINES:
         raise ValueError(f"baseline must be one of {BASELINES}, got {baseline!r}")
     return baseline
@@ -305,7 +314,7 @@ def autoscale_ideal_fraction(
     with default settings when omitted).
     """
     target = _check_target(target)
-    denominator = _baseline_energy(trace, model, _check_baseline(baseline), target, peak)
+    denominator = _baseline_energy(trace, model, check_baseline(baseline), target, peak)
     return _ratio(_ideal_energy(model, target, integrate(trace)), denominator)
 
 
@@ -407,7 +416,7 @@ def autoscale_hourly_fraction(
     Hours with capacity 0 contribute no energy.
     """
     target = _check_target(target)
-    denominator = _baseline_energy(trace, model, _check_baseline(baseline), target, peak)
+    denominator = _baseline_energy(trace, model, check_baseline(baseline), target, peak)
     return _ratio(_hourly_energy(_hour_moments(trace), target, model), denominator)
 
 
@@ -434,10 +443,8 @@ def analyze_machine(
     their resize-based scenarios are ``None`` and auto-scaling is reported
     against the lift-and-shift baseline only.
     """
-    baseline = _check_baseline(baseline)
-    targets = [_check_target(t) for t in targets]
-    if not targets:
-        raise ValueError("at least one target utilization is required")
+    baseline = check_baseline(baseline)
+    targets = check_targets(targets)
 
     on_prem = catalog.lookup(machine.on_prem_cpu)
     ls = lift_and_shift_fraction(on_prem, catalog.cloud_spec)

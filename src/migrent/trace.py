@@ -271,6 +271,27 @@ def _format_stamps(times: np.ndarray) -> list[str]:
     return [s.rstrip("0").rstrip(".") for s in np.datetime_as_string(stamps, unit="us").tolist()]
 
 
+def check_window_seconds(window_seconds: float) -> float:
+    """The smoothing window in seconds, which must be finite and positive."""
+    if not (math.isfinite(window_seconds) and window_seconds > 0):
+        raise ValueError(f"window_seconds must be finite and positive, got {window_seconds}")
+    return float(window_seconds)
+
+
+def check_percentile(percentile: float) -> float:
+    """A percentile, which must lie in (0, 100]."""
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    return percentile
+
+
+def check_min_days(min_days: int) -> int:
+    """The fewest days of data a peak estimate accepts, at least 1."""
+    if min_days < 1:
+        raise ValueError(f"min_days must be at least 1, got {min_days}")
+    return min_days
+
+
 def smooth(trace: UtilizationTrace, window_seconds: float = DEFAULT_WINDOW_SECONDS) -> UtilizationTrace:
     """Trailing-window time-weighted average of the utilization signal.
 
@@ -280,11 +301,9 @@ def smooth(trace: UtilizationTrace, window_seconds: float = DEFAULT_WINDOW_SECON
     signal is extended flat at the first value, so the earliest outputs are
     averaged against that level. Output timestamps equal input timestamps.
     """
-    if not (math.isfinite(window_seconds) and window_seconds > 0):
-        raise ValueError(f"window_seconds must be finite and positive, got {window_seconds}")
+    window = check_window_seconds(window_seconds)
     t = trace.times
     u = trace.values
-    window = float(window_seconds)
 
     # cumulative area of the step signal lets every window be evaluated as
     # "full segments inside the window" plus one partial segment at the
@@ -318,8 +337,7 @@ def nearest_rank(values, percentile: float) -> float:
     Rank is ceil(p * n / 100) in a 1-based ascending sort, so the result is
     always one of the input values.
     """
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    check_percentile(percentile)
     data = np.sort(np.asarray(values, dtype=np.float64))
     if data.size == 0:
         raise ValueError("nearest_rank needs at least one value")
@@ -334,8 +352,7 @@ def peak_utilization(
     min_days: int = DEFAULT_MIN_DAYS,
 ) -> float:
     """Percentile of the daily maxima, refusing traces with too few days."""
-    if min_days < 1:
-        raise ValueError(f"min_days must be at least 1, got {min_days}")
+    check_min_days(min_days)
     available = len(maxima)
     if available < min_days:
         raise InsufficientDataError(

@@ -95,11 +95,12 @@ class TestLoadCatalog:
         assert catalog.cloud_reference == "gamma"
 
     def test_zero_tdp_names_line(self):
-        with pytest.raises(CatalogError, match="line 3"):
+        with pytest.raises(CatalogError, match="line 3") as excinfo:
             load_catalog(make_csv([
                 "alpha,300,95,2012-03-01,8,true",
                 "beta,500,0,2014-05-01,8,false",
             ]))
+        assert excinfo.value.line == 3
 
     def test_duplicate_model_rejected(self):
         with pytest.raises(CatalogError, match="duplicate"):
@@ -118,8 +119,9 @@ class TestLoadCatalog:
             load_catalog(make_csv(["alpha,300,95,01/03/2012,8,true"]))
 
     def test_bad_cloud_flag_names_line(self):
-        with pytest.raises(CatalogError, match="line 2.*cloud"):
+        with pytest.raises(CatalogError, match="line 2.*cloud") as excinfo:
             load_catalog(make_csv(["alpha,300,95,2012-03-01,8,yes"]))
+        assert excinfo.value.line == 2
 
     def test_cloud_reference_defaults_to_newest_cloud_entry(self):
         catalog = load_catalog(make_csv([

@@ -483,6 +483,44 @@ class TestConfigFile:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("source, setting", [
+        ({"min_days": 7.9}, "min_days"),
+        ({"min_days": True}, "min_days"),
+        ({"jobs": 1.5}, "jobs"),
+        ({"percentile": True}, "percentile"),
+        ({"targets": [True]}, "targets"),
+        (["--min-days", "2.5"], "min_days"),
+        (["--percentile", "abc"], "percentile"),
+    ])
+    def test_value_of_the_wrong_kind_is_one_json_error(self, capsys, tmp_path, source, setting):
+        # booleans are not numbers, and an integer setting does not truncate a fraction
+        args = ["fleet", str(tmp_path / "manifest.csv")]
+        if isinstance(source, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(source))
+            args += ["--config", str(config)]
+        else:
+            args += source
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        error = error_payload(err)
+        assert error["type"] == "MigrentError"
+        assert error["message"].startswith(f"{setting} must be ")
+
+    @pytest.mark.parametrize("flag_value, config_value", [("2.5", 2.5), ("0", 0), ("150", 150), ("abc", "abc")])
+    @pytest.mark.parametrize("key", ["idle_fraction", "linear_mix", "window_seconds", "percentile", "min_days", "jobs"])
+    def test_flag_and_config_value_give_the_same_outcome(self, capsys, tmp_path, key, flag_value, config_value):
+        # neither file exists, so a valid value ends at the same read error both ways
+        base = ["fleet", str(tmp_path / "manifest.csv"), "--catalog", str(tmp_path / "catalog.csv")]
+        by_flag = run(capsys, *base, "--" + key.replace("_", "-"), flag_value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: config_value}))
+        by_config = run(capsys, *base, "--config", str(config))
+        assert by_flag == by_config
+        code, out, err = by_flag
+        assert (code, out) == (2, "")
+        assert "message" in error_payload(err)
+
 
 ANALYSIS_FLAGS = {
     "--targets": "0.7",

@@ -185,5 +185,6 @@ class TestPowerSamples:
 
     def test_load_names_bad_line(self):
         stream = io.StringIO("utilization_percent,relative_power\n0,0.33\n150,0.5\n")
-        with pytest.raises(MigrentError, match="line 3"):
+        with pytest.raises(MigrentError, match="line 3") as excinfo:
             load_power_samples(stream)
+        assert excinfo.value.line == 3

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+import migrent.fleet
 from migrent import (
     BASELINE_LIFT_AND_SHIFT,
     BASELINE_STATIC_RESIZED,
@@ -85,8 +86,9 @@ class TestManifest:
             "m1,a.csv,old-box,dc-a\n"
             "m1,b.csv,old-box,dc-a\n"
         )
-        with pytest.raises(ManifestError, match="line 3.*line 2"):
+        with pytest.raises(ManifestError, match="line 3.*line 2") as excinfo:
             load_manifest(io.StringIO(text))
+        assert excinfo.value.line == 3
 
     def test_bad_header(self):
         with pytest.raises(ManifestError, match="header"):
@@ -142,6 +144,10 @@ class TestAggregate:
     def test_no_targets_rejected(self, small_catalog):
         with pytest.raises(ValueError, match="at least one target"):
             aggregate([fake_report("m1", "dc-a", ls=0.5)], [], [], small_catalog)
+
+    def test_out_of_range_target_rejected(self, small_catalog):
+        with pytest.raises(ValueError, match=r"target utilization must be in \(0, 1\], got 1.5"):
+            aggregate([fake_report("m1", "dc-a", ls=0.5)], [], [0.8, 1.5], small_catalog)
 
     def test_machine_and_datacenter_means_weight_differently(self, small_catalog):
         reports = [
@@ -360,6 +366,32 @@ class TestAnalyzeManifest:
         entries = load_manifest(fleet_dir / "manifest.csv")
         with pytest.raises(ValueError):
             analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.8], jobs=0)
+
+    def test_pool_has_no_more_workers_than_rows(self, fleet_dir, model, monkeypatch):
+        from migrent import bundled_catalog
+
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size asked for and runs the work in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(migrent.fleet, "ProcessPoolExecutor", RecordingPool)
+        entries = load_manifest(fleet_dir / "manifest.csv")[:3]
+        fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.8], jobs=64)
+        assert sizes == [3]
+        assert len(fleet.reports) == 3
 
 
 class TestWriteCsvReports:
