@@ -133,7 +133,7 @@ def _load_config(path: str | None) -> dict:
             config = json.load(stream)
     except OSError as exc:
         raise MigrentError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes or an over-long integer
         raise MigrentError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise MigrentError(f"config {path} must hold a JSON object")
@@ -234,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic fleet corpus")
     p_synth.add_argument("--out", required=True, help="output directory for traces and manifest")
-    p_synth.add_argument("--seed", type=int, default=0, help="fleet seed (default: %(default)s)")
-    p_synth.add_argument("--machines", type=int, default=20, help="number of machines (default: %(default)s)")
-    p_synth.add_argument("--datacenters", type=int, default=5, help="number of datacenters (default: %(default)s)")
+    p_synth.add_argument("--seed", default=0, help="fleet seed (default: %(default)s)")
+    p_synth.add_argument("--machines", default=20, help="number of machines (default: %(default)s)")
+    p_synth.add_argument("--datacenters", default=5, help="number of datacenters (default: %(default)s)")
     p_synth.add_argument("--start", default=synth_mod.DEFAULT_START,
                          help="trace start timestamp (default: %(default)s)")
     # each range flag's dest is the ParamRanges field it sets
@@ -281,13 +281,6 @@ def _ensure_writable_dir(path: str) -> Path:
     return target
 
 
-def _numbers(raw: str, cast) -> tuple:
-    try:
-        return tuple(cast(p) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise MigrentError(f"expected numbers, got {raw!r}") from None
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     model = settings.energy_model()
@@ -320,30 +313,30 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    catalog = settings.load_catalog()
-    _ensure_writable_dir(args.out)
-    overrides = {}
-    for name, default in dataclasses.asdict(synth_mod.ParamRanges()).items():
-        raw = getattr(args, name)
-        if raw is None:
-            continue
-        values = _numbers(raw, type(default[0]))  # int or float, as the default
-        if name != "sample_periods":  # every other field is a LO,HI pair
-            if len(values) == 1:
-                values *= 2
-            elif len(values) != 2:
-                raise MigrentError(f"expected LO or LO,HI, got {raw!r}")
-        overrides[name] = values
     try:
-        ranges = synth_mod.ParamRanges(**overrides)
-        machines = synth_mod.generate_fleet(
-            args.seed, args.machines, args.datacenters, ranges, catalog
-        )
+        seed = _strict(int, synth_mod.check_seed)("seed", args.seed)
+        machines = _strict(int)("machines", args.machines)  # generate_fleet checks both counts
+        datacenters = _strict(int)("datacenters", args.datacenters)
+        overrides = {}
+        for name, default in dataclasses.asdict(synth_mod.ParamRanges()).items():
+            raw = getattr(args, name)
+            if raw is None:
+                continue
+            convert = _strict(type(default[0]))  # int or float, as the default
+            values = tuple(convert(name, p) for p in raw.split(",") if p.strip())
+            if name != "sample_periods":  # every other field is a LO,HI pair
+                if len(values) == 1:
+                    values *= 2
+                elif len(values) != 2:
+                    raise ValueError(f"{name} must be LO or LO,HI, got {raw!r}")
+            overrides[name] = values
+        ranges = synth_mod.ParamRanges(**overrides)  # checks every bound before any draw
+        fleet = synth_mod.generate_fleet(seed, machines, datacenters, ranges, settings.load_catalog())
     except ValueError as exc:
         raise MigrentError(str(exc)) from None
-    manifest = synth_mod.write_fleet(machines, args.out, start=args.start)
-    datacenters = len({m.datacenter_id for m in machines})
-    print(f"wrote {len(machines)} traces across {datacenters} datacenters; manifest at {manifest}")
+    _ensure_writable_dir(args.out)
+    manifest = synth_mod.write_fleet(fleet, args.out, start=args.start)
+    print(f"wrote {len(fleet)} traces across {datacenters} datacenters; manifest at {manifest}")
     return EXIT_OK
 
 

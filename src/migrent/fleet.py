@@ -90,14 +90,14 @@ def write_manifest(entries: Iterable[ManifestEntry], dest) -> None:
 
 def _analyze_entry(
     entry: ManifestEntry, base_dir: str, analyze: Callable[[MachineRecord], ScenarioReport]
-) -> tuple[str, ScenarioReport | None, str | None]:
-    """Worker for one manifest row; returns (machine_id, report, error)."""
+) -> ScenarioReport | Exclusion:
+    """Worker for one manifest row: the machine's report, or why it was excluded."""
     try:
         trace = parse_trace(Path(base_dir) / entry.trace_path, machine_id=entry.machine_id)
         record = MachineRecord(entry.machine_id, trace, entry.cpu_model, entry.datacenter_id)
-        return entry.machine_id, analyze(record), None
+        return analyze(record)
     except MigrentError as exc:
-        return entry.machine_id, None, str(exc)
+        return Exclusion(entry.machine_id, str(exc))
 
 
 @dataclass(frozen=True)
@@ -141,21 +141,20 @@ def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return [(float(v), float(p)) for v, p in zip(data[keep], probs[keep])]
 
 
-def _machine_values(reports, scenario: str, target: float) -> list[float]:
-    out = []
-    for report in reports:
-        value = report.scenario_value(scenario, target)
-        if value is not None:
-            out.append(value)
-    return out
+def _group(values: Iterable, keys: Iterable) -> dict[object, list]:
+    """``values`` split by their ``keys``.
 
-
-def _group_by_datacenter(reports) -> dict[str, list[ScenarioReport]]:
-    groups: dict[str, list[ScenarioReport]] = {}
-    for report in reports:
-        dc = report.datacenter_id or "unknown"
-        groups.setdefault(dc, []).append(report)
+    Groups come in the order their key first appears, and each group keeps
+    its values in input order, so a mean over a group sums in that order.
+    """
+    groups: dict[object, list] = {}
+    for value, key in zip(values, keys):
+        groups.setdefault(key, []).append(value)
     return groups
+
+
+def _datacenters(reports: Sequence[ScenarioReport]) -> list[str]:
+    return [report.datacenter_id or "unknown" for report in reports]
 
 
 def aggregate(
@@ -175,16 +174,23 @@ def aggregate(
         raise FleetError("no machines to aggregate", exclusions)
     reports = tuple(sorted(reports, key=lambda r: r.machine_id))
     targets = tuple(check_targets(targets))  # the means table has a row per target and scenario
-    by_dc = _group_by_datacenter(reports)
+    datacenters = _datacenters(reports)
+    # the first row for a target wins, as in ScenarioReport.scenario_value
+    rows = [{row.target: row for row in reversed(report.targets)} for report in reports]
 
     means = []
     cdfs: dict[tuple[str, float], list[tuple[float, float]]] = {}
     for target in targets:
+        for report, by_target in zip(reports, rows):
+            if target not in by_target:
+                raise KeyError(f"target {target} not in report for {report.machine_id}")
         for scenario in SCENARIO_NAMES:
-            values = _machine_values(reports, scenario, target)
+            # one value per machine in machine-id order, None where undefined
+            column = [getattr(by_target[target], scenario) for by_target in rows]
+            values = [v for v in column if v is not None]
             dc_means = []
-            for dc_reports in by_dc.values():
-                dc_values = _machine_values(dc_reports, scenario, target)
+            for dc_column in _group(column, datacenters).values():
+                dc_values = [v for v in dc_column if v is not None]
                 if dc_values:
                     dc_means.append(float(np.mean(dc_values)))
             means.append(
@@ -225,11 +231,8 @@ def group_by_size(reports: Sequence[ScenarioReport], bin_count: int = DEFAULT_SI
     """
     if bin_count < 1:
         raise ValueError(f"bin_count must be at least 1, got {bin_count}")
-    by_dc = _group_by_datacenter(reports)
-    dc_rows = []
-    for dc in sorted(by_dc):
-        dc_reports = by_dc[dc]
-        dc_rows.append((len(dc_reports), dc, float(np.mean([r.lift_and_shift for r in dc_reports]))))
+    by_dc = _group([r.lift_and_shift for r in reports], _datacenters(reports))
+    dc_rows = [(len(fractions), dc, float(np.mean(fractions))) for dc, fractions in by_dc.items()]
     dc_rows.sort(key=lambda row: (row[0], row[1]))
 
     n = len(dc_rows)
@@ -257,10 +260,10 @@ def group_by_size(reports: Sequence[ScenarioReport], bin_count: int = DEFAULT_SI
 
 def utilization_by_release(reports: Sequence[ScenarioReport], catalog: Catalog) -> list[dict]:
     """Peak-utilization spread grouped by the on-premise CPU's release year."""
-    by_year: dict[int, list[float]] = {}
-    for report in reports:
-        year = catalog.lookup(report.cpu_model).release_date.year
-        by_year.setdefault(year, []).append(report.peak_utilization)
+    by_year = _group(
+        [r.peak_utilization for r in reports],
+        [catalog.lookup(r.cpu_model).release_date.year for r in reports],
+    )
     out = []
     for year in sorted(by_year):
         peaks = by_year[year]
@@ -317,13 +320,8 @@ def analyze_manifest(
         with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
             results = list(pool.map(work, entries, chunksize=8))
 
-    reports = []
-    exclusions = []
-    for machine_id, report, error in results:
-        if report is not None:
-            reports.append(report)
-        else:
-            exclusions.append(Exclusion(machine_id, error))
+    reports = [r for r in results if isinstance(r, ScenarioReport)]
+    exclusions = [r for r in results if isinstance(r, Exclusion)]
     if not reports:
         raise FleetError(
             f"all {len(exclusions)} machines failed to analyze", exclusions

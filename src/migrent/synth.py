@@ -9,6 +9,7 @@ reproduces the same bytes on disk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,12 +17,38 @@ import numpy as np
 
 from .catalog import Catalog, bundled_catalog
 from .fleet import ManifestEntry, write_manifest
+from .scenarios import _MAX_HOURS
 from .trace import UtilizationTrace, parse_timestamp, write_trace
 
 DEFAULT_START = "2016-06-01T00:00:00Z"
 
 _SECONDS_PER_DAY = 86400.0
 _ALLOWED_PERIODS = (20, 30)
+_MAX_DAYS = _MAX_HOURS // 24  # about ten years, the longest span the hourly scenario analyzes
+
+# Each drawn knob's rule, written once: the name of its ParamRanges range, the
+# SynthParams field a draw sets, and the least and greatest value it may take.
+# A range whose bounds pass the rule draws only values that pass it too.
+_KNOBS = (
+    ("duration_days", "duration_days", 1, _MAX_DAYS),
+    ("base_utilization", "base_utilization", 0.0, 1.0),
+    ("growth_per_day", "growth_per_day", 0.0, math.inf),
+    ("refresh_days", "refresh_period_days", 1, _MAX_DAYS),
+    ("diurnal_amplitude", "diurnal_amplitude", 0.0, 1.0),
+    ("noise_stddev", "noise_stddev", 0.0, math.inf),
+)
+
+
+def _check_knob(name: str, value, lo, hi) -> None:
+    """Refuse a ``value`` that is not finite or lies outside [lo, hi]."""
+    if not lo <= value <= hi or value == math.inf:  # NaN fails every comparison
+        bound = f"in [{lo}, {hi}]" if hi < math.inf else f"finite and at least {lo}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _check_period(name: str, period) -> None:
+    if period not in _ALLOWED_PERIODS:
+        raise ValueError(f"{name} must be one of {_ALLOWED_PERIODS}, got {period}")
 
 
 @dataclass(frozen=True)
@@ -38,22 +65,9 @@ class SynthParams:
     noise_stddev: float = 0.0
 
     def __post_init__(self):
-        if self.duration_days < 1:
-            raise ValueError(f"duration_days must be at least 1, got {self.duration_days}")
-        if self.sample_period_seconds not in _ALLOWED_PERIODS:
-            raise ValueError(
-                f"sample_period_seconds must be one of {_ALLOWED_PERIODS}, got {self.sample_period_seconds}"
-            )
-        if not 0.0 <= self.base_utilization <= 1.0:
-            raise ValueError(f"base_utilization must be in [0, 1], got {self.base_utilization}")
-        if self.growth_per_day < 0.0:
-            raise ValueError(f"growth_per_day must be non-negative, got {self.growth_per_day}")
-        if self.refresh_period_days < 1:
-            raise ValueError(f"refresh_period_days must be at least 1, got {self.refresh_period_days}")
-        if not 0.0 <= self.diurnal_amplitude <= 1.0:
-            raise ValueError(f"diurnal_amplitude must be in [0, 1], got {self.diurnal_amplitude}")
-        if self.noise_stddev < 0.0:
-            raise ValueError(f"noise_stddev must be non-negative, got {self.noise_stddev}")
+        _check_period("sample_period_seconds", self.sample_period_seconds)
+        for _, name, lo, hi in _KNOBS:
+            _check_knob(name, getattr(self, name), lo, hi)
 
 
 def generate_trace(params: SynthParams, machine_id: str, start: str | float = DEFAULT_START) -> UtilizationTrace:
@@ -94,16 +108,23 @@ class ParamRanges:
     noise_stddev: tuple[float, float] = (0.005, 0.05)
 
     def __post_init__(self):
-        for name in ("duration_days", "base_utilization", "growth_per_day",
-                     "refresh_days", "diurnal_amplitude", "noise_stddev"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: lower bound {lo} exceeds upper bound {hi}")
-        for period in self.sample_periods:
-            if period not in _ALLOWED_PERIODS:
-                raise ValueError(f"sample period must be one of {_ALLOWED_PERIODS}, got {period}")
+        for name, _, lo, hi in _KNOBS:
+            low, high = getattr(self, name)
+            _check_knob(name, low, lo, hi)
+            _check_knob(name, high, lo, hi)
+            if low > high:
+                raise ValueError(f"{name}: lower bound {low} exceeds upper bound {high}")
         if not self.sample_periods:
             raise ValueError("sample_periods must not be empty")
+        for period in self.sample_periods:
+            _check_period("sample_periods", period)
+
+
+def check_seed(seed: int) -> int:
+    """A fleet seed; numpy's ``SeedSequence`` takes only non-negative integers."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -131,6 +152,7 @@ def generate_fleet(
     the datacenters. Older CPU models are biased toward higher base
     utilization, mirroring how long-lived machines accrete load.
     """
+    check_seed(fleet_seed)
     if machines < 1:
         raise ValueError(f"machines must be at least 1, got {machines}")
     if not 1 <= datacenters <= machines:

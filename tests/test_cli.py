@@ -365,6 +365,27 @@ class TestSynth:
         assert code == 2
         assert "base_utilization" in error_payload(err)["message"]
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    @pytest.mark.parametrize("flags, setting", [
+        (["--noise", "inf"], "noise_stddev"),
+        (["--growth", "nan"], "growth_per_day"),
+        (["--diurnal", "nan"], "diurnal_amplitude"),
+        (["--duration-days", "0,9"], "duration_days"),
+        (["--machines", "2.5"], "machines"),
+        (["--seed", "-1"], "seed"),
+        (["--datacenters", "x"], "datacenters"),
+    ])
+    def test_bad_number_fails_before_any_draw(self, capsys, tmp_path, seed, flags, setting):
+        out = tmp_path / "x"
+        code, stdout, err = run(
+            capsys, "synth", "--out", str(out), "--seed", seed, "--machines", "2", "--datacenters", "1", *flags,
+        )
+        assert (code, stdout) == (2, "")
+        error = error_payload(err)
+        assert error["type"] == "MigrentError"
+        assert error["message"].startswith(f"{setting} must be ")
+        assert not out.exists()
+
     def test_invalid_period_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "x"), "--periods", "45")
         assert code == 2
@@ -473,6 +494,19 @@ class TestConfigFile:
             "--catalog", str(data_dir / "catalog.csv"), "--config", str(config),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b'{"jobs": ' + b"1" * 5000 + b"}", id="over-the-integer-string-limit"),
+        pytest.param(b"\xff\xfe{", id="not-utf-8"),
+    ])
+    def test_config_json_cannot_read_names_the_file(self, capsys, tmp_path, content):
+        config = tmp_path / "big.json"
+        config.write_bytes(content)
+        code, out, err = run(capsys, "fleet", str(tmp_path / "manifest.csv"), "--config", str(config))
+        assert (code, out) == (2, "")
+        error = error_payload(err)
+        assert error["type"] == "MigrentError"
+        assert error["message"].startswith(f"config {config} is not valid JSON: ")
 
     def test_non_object_config_exits_2(self, capsys, data_dir, tmp_path):
         config = tmp_path / "config.json"

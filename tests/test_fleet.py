@@ -10,26 +10,33 @@ import migrent.fleet
 from migrent import (
     BASELINE_LIFT_AND_SHIFT,
     BASELINE_STATIC_RESIZED,
+    BASELINES,
+    SCENARIO_NAMES,
     EnergyModel,
     Exclusion,
     FleetError,
     ManifestEntry,
+    MachineRecord,
     ManifestError,
     MigrentError,
     ParamRanges,
     ScenarioReport,
     TargetScenarios,
     aggregate,
+    analyze_machine,
     analyze_manifest,
     cdf,
     generate_fleet,
     group_by_size,
     load_manifest,
+    nearest_rank,
     utilization_by_release,
     write_csv_reports,
     write_fleet,
     write_manifest,
 )
+
+from conftest import POSIX_2016_06_01, make_trace
 
 
 def fake_report(
@@ -218,6 +225,103 @@ class TestAggregate:
         assert d["machines_analyzed"] == 1
         assert d["machines_excluded"] == 1
         assert d["exclusions"] == [{"machine_id": "m2", "reason": "missing trace"}]
+
+
+def reference_tables(reports, targets, catalog):
+    """The fleet tables by a plain scan of every report for every cell.
+
+    Machines go in machine-id order and datacenters in the order of their
+    first machine, idle machines included, so each mean sums its values in
+    the order ``aggregate`` must keep.
+    """
+    reports = sorted(reports, key=lambda r: r.machine_id)
+    by_dc = {}
+    for r in reports:
+        by_dc.setdefault(r.datacenter_id or "unknown", []).append(r)
+
+    def present(group, scenario, target):
+        return [v for r in group if (v := r.scenario_value(scenario, target)) is not None]
+
+    means, cdfs = [], {}
+    for target in targets:
+        for scenario in SCENARIO_NAMES:
+            values = present(reports, scenario, target)
+            dc_means = [float(np.mean(vs)) for g in by_dc.values() if (vs := present(g, scenario, target))]
+            means.append({
+                "target": target,
+                "scenario": scenario,
+                "machine_mean": float(np.mean(values)) if values else None,
+                "datacenter_mean": float(np.mean(dc_means)) if dc_means else None,
+                "machines": len(values),
+            })
+            if values:
+                cdfs[(scenario, target)] = cdf(values)
+
+    dc_rows = sorted((len(g), dc, float(np.mean([r.lift_and_shift for r in g]))) for dc, g in by_dc.items())
+    size_bins = []
+    # array_split gives the earlier bins the remainder
+    for b, chunk in enumerate(np.array_split(np.arange(len(dc_rows)), migrent.fleet.DEFAULT_SIZE_BINS)):
+        if chunk.size:
+            rows = [dc_rows[i] for i in chunk]
+            fractions = [row[2] for row in rows]
+            size_bins.append({
+                "bin": b + 1, "datacenters": len(rows), "machines": sum(row[0] for row in rows),
+                "mean": float(np.mean(fractions)), "min": min(fractions), "max": max(fractions),
+            })
+
+    by_year = {}
+    for r in reports:
+        by_year.setdefault(catalog.lookup(r.cpu_model).release_date.year, []).append(r.peak_utilization)
+    by_release = [
+        {"release_year": year, "machines": len(peaks), "mean": float(np.mean(peaks)),
+         **{f"p{q}": nearest_rank(peaks, float(q)) for q in (10, 25, 75, 90)}}
+        for year, peaks in sorted(by_year.items())
+    ]
+    return means, cdfs, size_bins, by_release
+
+
+class TestAggregateDifferential:
+    # (datacenter, CPU) per machine, in machine-id order: eight datacenters of
+    # one to four machines, one of them unnamed; m00 is idle and first in dc-c,
+    # so dc-c comes first among the datacenters of every column
+    PLACEMENT = [
+        ("dc-c", "old-box"), ("dc-a", "mid-box"), ("dc-b", "new-box"), ("dc-c", "mid-box"),
+        ("dc-d", "old-box"), ("dc-a", "new-box"), (None, "old-box"), ("dc-e", "mid-box"),
+        ("dc-b", "old-box"), ("dc-f", "new-box"), ("dc-c", "new-box"), ("dc-g", "old-box"),
+        ("dc-a", "old-box"), ("dc-c", "mid-box"), ("dc-d", "new-box"), ("dc-e", "old-box"),
+    ]
+    IDLE = {"m00", "m09"}
+
+    def reports(self, catalog, baseline):
+        rng = np.random.default_rng(11)
+        times = POSIX_2016_06_01 + np.arange(8 * 144) * 600.0
+        reports = []
+        for i, (dc, cpu) in enumerate(self.PLACEMENT):
+            machine_id = f"m{i:02d}"
+            values = rng.uniform(0.0, rng.uniform(0.1, 1.0), times.size)
+            if machine_id in self.IDLE:
+                values[:] = 0.0
+            record = MachineRecord(machine_id, make_trace(times, values, machine_id), cpu, dc)
+            reports.append(analyze_machine(record, (0.5, 0.8), EnergyModel(), catalog, baseline=baseline))
+        return reports[::-1]  # aggregate sorts them
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_matches_plain_scan_exactly(self, small_catalog, baseline):
+        reports = self.reports(small_catalog, baseline)
+        assert sum(r.idle_machine for r in reports) == len(self.IDLE)
+        targets = [0.8, 0.5]  # the reverse of the reports' rows
+        fleet = aggregate(reports, [], targets, small_catalog, baseline)
+        means, cdfs, size_bins, by_release = reference_tables(reports, targets, small_catalog)
+        assert list(fleet.means) == means
+        assert fleet.cdfs == cdfs
+        assert list(fleet.size_bins) == size_bins
+        assert list(fleet.utilization_by_release) == by_release
+        assert any(m["machines"] < len(reports) for m in means)  # the idle machines' None values
+
+    def test_missing_target_raises_key_error(self, small_catalog):
+        reports = self.reports(small_catalog, BASELINE_LIFT_AND_SHIFT)
+        with pytest.raises(KeyError, match="target 0.3 not in report for m00"):
+            aggregate(reports, [], [0.8, 0.3], small_catalog)
 
 
 class TestGroupBySize:

@@ -1,7 +1,11 @@
 """Deterministic synthetic traces and fleets."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migrent import (
     ParamRanges,
@@ -32,10 +36,16 @@ class TestSynthParams:
             {"refresh_period_days": 0},
             {"diurnal_amplitude": 1.5},
             {"noise_stddev": -0.1},
+            {"noise_stddev": math.inf},
+            {"growth_per_day": math.nan},
+            {"diurnal_amplitude": math.nan},
+            {"base_utilization": math.nan},
+            {"duration_days": 3661},
+            {"refresh_period_days": 10**20},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be "):
             SynthParams(seed=1, **kwargs)
 
 
@@ -165,7 +175,36 @@ class TestGenerateFleet:
             assert 0.1 <= p.diurnal_amplitude <= 0.2
             assert 0.01 <= p.noise_stddev <= 0.02
 
+    @pytest.mark.parametrize("kwargs", [
+        {"noise_stddev": (0.01, math.inf)},
+        {"growth_per_day": (math.nan, 0.01)},
+        {"diurnal_amplitude": (0.0, math.nan)},
+        {"duration_days": (0, 9)},
+        {"refresh_days": (30, 10**20)},
+    ])
+    def test_each_bound_is_checked_before_any_draw(self, kwargs):
+        # a bad bound fails even where no draw would come near it
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be "):
+            ParamRanges(**kwargs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_every_draw_from_valid_ranges_is_valid(self, data):
+        def pair(values):
+            return tuple(sorted(data.draw(st.tuples(values, values))))
+
+        fraction = st.floats(0.0, 1.0)
+        rate = st.floats(0.0, 1e300)
+        days = st.integers(1, 3660)
+        ranges = ParamRanges(
+            duration_days=pair(days), base_utilization=pair(fraction), growth_per_day=pair(rate),
+            refresh_days=pair(days), diurnal_amplitude=pair(fraction), noise_stddev=pair(rate),
+        )
+        generate_fleet(data.draw(st.integers(0, 2**32)), 4, 2, ranges)  # each SynthParams checks its draw
+
     def test_validation(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            generate_fleet(-1, machines=1, datacenters=1)
         with pytest.raises(ValueError):
             generate_fleet(1, machines=0, datacenters=1)
         with pytest.raises(ValueError):
