@@ -332,10 +332,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
             overrides[name] = values
         ranges = synth_mod.ParamRanges(**overrides)  # checks every bound before any draw
         fleet = synth_mod.generate_fleet(seed, machines, datacenters, ranges, settings.load_catalog())
+        start = synth_mod.check_start(args.start, fleet)
     except ValueError as exc:
         raise MigrentError(str(exc)) from None
     _ensure_writable_dir(args.out)
-    manifest = synth_mod.write_fleet(fleet, args.out, start=args.start)
+    manifest = synth_mod.write_fleet(fleet, args.out, start=start)
     print(f"wrote {len(fleet)} traces across {datacenters} datacenters; manifest at {manifest}")
     return EXIT_OK
 

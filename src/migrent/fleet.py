@@ -9,7 +9,6 @@ fleet where *every* machine fails raises.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -316,6 +315,9 @@ def analyze_manifest(
     if jobs == 1 or len(entries) <= 1:
         results = [work(entry) for entry in entries]
     else:
+        # imported here, as multiprocessing would add to every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all its workers at the first submit, and at most one per row has work
         with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
             results = list(pool.map(work, entries, chunksize=8))

@@ -9,6 +9,7 @@ reproduces the same bytes on disk.
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,11 @@ DEFAULT_START = "2016-06-01T00:00:00Z"
 _SECONDS_PER_DAY = 86400.0
 _ALLOWED_PERIODS = (20, 30)
 _MAX_DAYS = _MAX_HOURS // 24  # about ten years, the longest span the hourly scenario analyzes
+# the stamps a trace file can hold: datetime's, from the year 1 to the end of 9999
+_STAMP_SPAN = (
+    dt.datetime.min.replace(tzinfo=dt.timezone.utc).timestamp(),
+    dt.datetime.max.replace(tzinfo=dt.timezone.utc).timestamp(),
+)
 
 # Each drawn knob's rule, written once: the name of its ParamRanges range, the
 # SynthParams field a draw sets, and the least and greatest value it may take.
@@ -200,13 +206,30 @@ def generate_fleet(
     return fleet
 
 
+def check_start(start: str | float, fleet: list[SynthMachine]) -> float:
+    """``start`` in POSIX seconds, if every trace of ``fleet`` fits in the years 1 to 9999."""
+    try:
+        start_s = parse_timestamp(start) if isinstance(start, str) else float(start)
+    except ValueError:
+        raise ValueError(f"start must be an ISO-8601 timestamp, got {start!r}") from None
+    days = max((machine.params.duration_days for machine in fleet), default=0)
+    lo, hi = _STAMP_SPAN
+    if not (lo <= start_s and start_s + days * _SECONDS_PER_DAY <= hi):  # NaN fails too
+        raise ValueError(
+            f"start must be in the years 1 to 9999 with room for the longest trace ({days} days), got {start!r}"
+        )
+    return start_s
+
+
 def write_fleet(fleet: list[SynthMachine], out_dir, start: str | float = DEFAULT_START) -> Path:
     """Write trace CSVs plus a manifest for a generated fleet.
 
     Traces land in ``out_dir/traces/<machine_id>.csv`` and the manifest at
     ``out_dir/manifest.csv`` with paths relative to the manifest. Returns
-    the manifest path. Output is byte-identical for identical inputs.
+    the manifest path. Output is byte-identical for identical inputs. A
+    ``start`` that ``check_start`` refuses fails before anything is written.
     """
+    start = check_start(start, fleet)
     out = Path(out_dir)
     entries = []
     for machine in fleet:

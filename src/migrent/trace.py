@@ -235,18 +235,82 @@ def _gather_percents(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) ->
 
 
 def write_trace(trace: UtilizationTrace, dest) -> None:
-    """Write a trace back to CSV in the same format parse_trace reads."""
-    text = _HEADER_LINE + "".join(
-        f"{stamp}Z,{percent:.4f}\n"
-        for stamp, percent in zip(_format_stamps(trace.times), (trace.values * 100.0).tolist())
+    """Write a trace back to CSV in the same format parse_trace reads.
+
+    ``dest`` may be a path or an open text stream. Rows are made and written
+    ``_BLOCK_ROWS`` at a time, so memory does not grow with the trace.
+    """
+    # every stamp between two that format does too, so a trace with a stamp
+    # that cannot be written fails before anything is written
+    format_timestamp(float(trace.times[0]))
+    format_timestamp(float(trace.times[-1]))
+    blocks = (
+        _format_rows(trace.times[i : i + _BLOCK_ROWS], trace.values[i : i + _BLOCK_ROWS])
+        for i in range(0, len(trace), _BLOCK_ROWS)
     )
     if hasattr(dest, "write"):
-        dest.write(text)
+        dest.write(_HEADER_LINE)
+        for block in blocks:
+            dest.write(str(block, "ascii"))
         return
     path = Path(dest)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as stream:
-        stream.write(text)
+    with path.open("wb") as stream:
+        stream.write(_HEADER_LINE.encode())
+        for block in blocks:
+            stream.write(block)
+
+
+# write_trace makes a block's rows as records over copies of _ROW_TEMPLATE,
+# one field per variable part, with the percent right-aligned behind filler.
+# The filler occurs in no row and is dropped before the block is written.
+_BLOCK_ROWS = 65_536
+_FILLER = ord(" ")
+_ROW = np.dtype({
+    "names": ["date", "hour", "minute", "second", "whole", "hundredths", "ten_thousandths"],
+    "formats": ["S10", "S2", "S2", "S2", "S3", "S2", "S2"],
+    "offsets": [0, 11, 14, 17, 21, 25, 27],
+    "itemsize": 30,
+})
+_ROW_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z,  0.0000\n", dtype=np.uint8)
+_TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)], dtype="S2")
+_WHOLE_PERCENTS = np.array([f"{i:3d}" for i in range(101)], dtype="S3")  # padded with the filler
+# the whole-second stamps that datetime64 writes as format_timestamp does
+_MATRIX_STAMP_RANGE = (
+    dt.datetime(1000, 1, 1, tzinfo=_UTC).timestamp(),
+    dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=_UTC).timestamp(),
+)
+# s = percent * 1e4 is within 6e-11 of the exact product while s <= 1e6, so
+# rint(s) rounds as .4f does unless s lies this close to a half
+_TIE_MARGIN = 1e-9
+
+
+def _format_rows(times: np.ndarray, values: np.ndarray) -> bytes | np.ndarray:
+    """The bytes of one block's rows, as format_timestamp and ``.4f`` write them."""
+    percents = values * 100.0
+    lo, hi = _MATRIX_STAMP_RANGE
+    if not (lo <= times[0] and times[-1] <= hi and np.array_equal(np.trunc(times), times)):  # times increase
+        text = "".join(
+            f"{stamp}Z,{percent:.4f}\n" for stamp, percent in zip(_format_stamps(times), percents.tolist())
+        )
+        return text.encode("ascii")
+    rows = np.tile(_ROW_TEMPLATE, times.size).view(_ROW)
+    days, clock = np.divmod(times.astype(np.int64), 86400)
+    new_day = np.r_[True, days[1:] != days[:-1]]
+    rows["date"] = days[new_day].astype("datetime64[D]").astype("S10")[np.cumsum(new_day) - 1]
+    hours, clock = np.divmod(clock, 3600)
+    minutes, secs = np.divmod(clock, 60)
+    rows["hour"], rows["minute"], rows["second"] = _TWO_DIGITS[hours], _TWO_DIGITS[minutes], _TWO_DIGITS[secs]
+    scaled = percents * 1e4
+    whole, fraction = np.divmod(np.rint(scaled).astype(np.int64), 10_000)
+    rows["whole"] = _WHOLE_PERCENTS[whole]
+    rows["hundredths"], rows["ten_thousandths"] = _TWO_DIGITS[fraction // 100], _TWO_DIGITS[fraction % 100]
+    # near a tie, and for -0.0, only Python's correctly rounded .4f will do
+    for i in np.flatnonzero((np.abs(scaled - np.floor(scaled) - 0.5) <= _TIE_MARGIN) | np.signbit(percents)):
+        text = f"{percents[i]:8.4f}".encode()
+        rows["whole"][i], rows["hundredths"][i], rows["ten_thousandths"][i] = text[:3], text[4:6], text[6:]
+    flat = rows.view(np.uint8)
+    return flat[flat != _FILLER]
 
 
 # The split below matches datetime.fromtimestamp from 1970 to the year 9999.

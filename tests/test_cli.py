@@ -386,6 +386,19 @@ class TestSynth:
         assert error["message"].startswith(f"{setting} must be ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--start", "garbage"],
+        ["--start", "9999-12-31T00:00:00Z", "--duration-days", "8,8"],  # would write the year 10000
+    ])
+    def test_bad_start_fails_before_anything_is_written(self, capsys, tmp_path, flags):
+        out = tmp_path / "fresh"
+        code, stdout, err = run(capsys, "synth", "--out", str(out), "--machines", "2", "--datacenters", "1", *flags)
+        assert (code, stdout) == (2, "")
+        error = error_payload(err)
+        assert error["type"] == "MigrentError"
+        assert error["message"].startswith("start must be ")
+        assert not out.exists()
+
     def test_invalid_period_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "x"), "--periods", "45")
         assert code == 2

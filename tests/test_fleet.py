@@ -1,5 +1,6 @@
 """Fleet manifests, aggregation tables, distribution curves, and CSV output."""
 
+import concurrent.futures
 import csv
 import io
 
@@ -491,7 +492,7 @@ class TestAnalyzeManifest:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(migrent.fleet, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # fleet imports it on use
         entries = load_manifest(fleet_dir / "manifest.csv")[:3]
         fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.8], jobs=64)
         assert sizes == [3]

@@ -1,5 +1,6 @@
 """Deterministic synthetic traces and fleets."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from migrent import (
     generate_trace,
     write_fleet,
 )
+from migrent.trace import _parse_canonical
 
 from conftest import POSIX_2016_06_01
 
@@ -236,3 +238,22 @@ class TestWriteFleet:
         for m in fleet:
             rel = f"traces/{m.machine_id}.csv"
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        # the digest of this corpus as written when trace rows were formatted one string at a time
+        fleet = generate_fleet(7, 3, 2, ParamRanges(duration_days=(2, 2), sample_periods=(20, 30)))
+        assert {m.params.sample_period_seconds for m in fleet} == {20, 30}
+        write_fleet(fleet, tmp_path)
+        digest = hashlib.sha256()
+        for rel in sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv")):
+            digest.update(rel.encode() + b"\0" + (tmp_path / rel).read_bytes())
+        assert digest.hexdigest() == "0d875e06da83f89be51c117d9f06d2f1d22da47d32d04b0f8166eefacbe10c23"
+        for m in fleet:  # the writer's form is the one the parser reads a column at a time
+            assert _parse_canonical((tmp_path / "traces" / f"{m.machine_id}.csv").read_bytes()) is not None
+
+    @pytest.mark.parametrize("start", ["garbage", "9999-12-31T00:00:00Z", "0001-01-01T00:00:00+01:00", math.nan])
+    def test_bad_start_writes_nothing(self, tmp_path, start):
+        fleet = generate_fleet(1, 2, 1, ParamRanges(duration_days=(8, 8)))
+        with pytest.raises(ValueError, match="^start must be "):
+            write_fleet(fleet, tmp_path / "out", start=start)
+        assert not (tmp_path / "out").exists()

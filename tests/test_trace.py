@@ -3,6 +3,7 @@
 import datetime as dt
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from migrent import (
     smooth,
     write_trace,
 )
-from migrent.trace import _parse_canonical, _parse_rows, format_timestamp, parse_timestamp
+from migrent.trace import _BLOCK_ROWS, _parse_canonical, _parse_rows, format_timestamp, parse_timestamp
 
 from conftest import POSIX_2016_06_01, constant_trace, make_trace
 from oracles import nearest_rank_ref, riemann, smooth_ref
@@ -220,6 +221,60 @@ class TestWriteMatchesFormatTimestamp:
     def test_stamps_before_1970(self):
         trace = make_trace([-86_400.25, -0.5, 0.0, 0.75], [0.1, 0.2, 0.3, 0.4])
         assert self.written(trace) == self.row_by_row(trace)
+
+    @pytest.mark.parametrize("times", [
+        [-86_401.0, -86_400.0, -1.0, 0.0, 1.0],
+        [parse_timestamp("1000-01-01T00:00:00Z") + s for s in (-1.0, 0.0, 1.0, 86_399.0, 86_400.0)],
+        [parse_timestamp("9999-12-31T23:59:59Z") + s for s in (-86_400.0, -1.0, 0.0)],
+        [POSIX_2016_06_01 + s for s in (0.0, 30.0, 60.5, 90.0, 120.25, 150.0)],
+    ], ids=["before 1970", "year 1000", "year 9999", "mixed with fractional"])
+    def test_whole_second_stamps(self, times):
+        trace = make_trace(times, np.linspace(0.1, 0.9, len(times)))
+        assert self.written(trace) == self.row_by_row(trace)
+
+    def test_percents_at_ties_and_edges(self):
+        k = np.random.default_rng(6).integers(0, 10**6, 2000) / 1e6
+        halves = k + 0.5e-6  # percent x 1e4 lands within 1e-9 of a half
+        values = np.concatenate((
+            [0.0, 1.0, -0.0], np.nextafter(k, 0.0), np.nextafter(k, 1.0), halves, np.nextafter(halves, 1.0),
+        ))
+        scaled = values * 100.0 * 1e4
+        assert np.sum(np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-9) > 2000
+        trace = make_trace(POSIX_2016_06_01 + 30.0 * np.arange(values.size), values)
+        text = self.written(trace)
+        assert text.splitlines()[1:4] == [
+            "2016-06-01T00:00:00Z,0.0000", "2016-06-01T00:00:30Z,100.0000", "2016-06-01T00:01:00Z,-0.0000",
+        ]
+        assert text == self.row_by_row(trace)
+
+    def test_trace_longer_than_a_block(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 7
+        times = POSIX_2016_06_01 + 30.0 * np.arange(n)
+        times[-3:] += 0.25  # the last block has fractional stamps, the others do not
+        trace = make_trace(times, np.random.default_rng(7).random(n))
+        expected = self.row_by_row(trace)
+        assert self.written(trace) == expected
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == expected.encode()
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        def peak_bytes(blocks):
+            trace = make_trace(30.0 * np.arange(blocks * _BLOCK_ROWS), np.full(blocks * _BLOCK_ROWS, 0.5))
+            tracemalloc.start()
+            try:
+                write_trace(trace, tmp_path / "t.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(8) < 1.25 * peak_bytes(2)
+
+    def test_unwritable_stamp_writes_nothing(self, tmp_path):
+        trace = make_trace([0.0, parse_timestamp("9999-12-31T23:59:59Z") + 1.0], [0.1, 0.2])
+        with pytest.raises(ValueError, match="year 10000 is out of range"):
+            write_trace(trace, tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestTimestampHelpers:
