@@ -26,6 +26,7 @@ from .scenarios import (
     MachineRecord,
     ScenarioReport,
     analyze_machine,
+    check_baseline,
     check_targets,
 )
 from .table import read_table, write_table
@@ -33,6 +34,9 @@ from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
     DEFAULT_WINDOW_SECONDS,
+    check_min_days,
+    check_percentile,
+    check_window_seconds,
     nearest_rank,
     parse_trace,
 )
@@ -303,12 +307,18 @@ def analyze_manifest(
 
     ``base_dir`` anchors relative trace paths (normally the manifest's own
     directory). With ``jobs > 1`` machines are analyzed in worker processes;
-    results are identical to a sequential run.
+    results are identical to a sequential run. Every setting is checked
+    before a trace is read, so a bad one raises ``ValueError`` naming it.
     """
     check_jobs(jobs)
+    targets = tuple(check_targets(targets))
+    check_baseline(baseline)
+    check_window_seconds(window_seconds)
+    check_percentile(percentile)
+    check_min_days(min_days)
     # one picklable callable carries every setting to the workers
     analyze = partial(
-        analyze_machine, targets=tuple(targets), model=model, catalog=catalog, baseline=baseline,
+        analyze_machine, targets=targets, model=model, catalog=catalog, baseline=baseline,
         window_seconds=window_seconds, percentile=percentile, min_days=min_days,
     )
     work = partial(_analyze_entry, base_dir=str(base_dir), analyze=analyze)

@@ -263,76 +263,57 @@ def write_trace(trace: UtilizationTrace, dest) -> None:
 
 # write_trace makes a block's rows as records over copies of _ROW_TEMPLATE,
 # one field per variable part, with the percent right-aligned behind filler.
-# The filler occurs in no row and is dropped before the block is written.
+# The filler occurs in no row and is dropped before the block is written; it
+# also stands for the microseconds' trailing zeros and a whole second's '.'.
 _BLOCK_ROWS = 65_536
 _FILLER = ord(" ")
 _ROW = np.dtype({
-    "names": ["date", "hour", "minute", "second", "whole", "hundredths", "ten_thousandths"],
-    "formats": ["S10", "S2", "S2", "S2", "S3", "S2", "S2"],
-    "offsets": [0, 11, 14, 17, 21, 25, 27],
-    "itemsize": 30,
+    "names": ["date", "hour_minute", "second", "point", "milli", "micro", "whole", "decimals"],
+    "formats": ["S10", "S5", "S2", "S1", "S3", "S3", "S3", "S4"],
+    "offsets": [0, 11, 17, 19, 20, 23, 28, 32],
+    "itemsize": 37,
 })
-_ROW_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z,  0.0000\n", dtype=np.uint8)
+_ROW_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00       Z,  0.0000\n", dtype=np.uint8)
 _TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)], dtype="S2")
+_THREE_DIGITS = np.char.add(np.arange(10).astype("S1")[:, None], _TWO_DIGITS).ravel()
+_THREE_DIGITS_TRIMMED = np.char.ljust(np.char.rstrip(_THREE_DIGITS, b"0"), 3, b" ")  # "5  " for 500
+_FOUR_DIGITS = np.char.add(_TWO_DIGITS[:, None], _TWO_DIGITS).ravel()
+_HOURS_MINUTES = np.char.add(np.char.add(_TWO_DIGITS[:24, None], b":"), _TWO_DIGITS[:60]).ravel()
 _WHOLE_PERCENTS = np.array([f"{i:3d}" for i in range(101)], dtype="S3")  # padded with the filler
-# the whole-second stamps that datetime64 writes as format_timestamp does
-_MATRIX_STAMP_RANGE = (
-    dt.datetime(1000, 1, 1, tzinfo=_UTC).timestamp(),
-    dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=_UTC).timestamp(),
-)
 # s = percent * 1e4 is within 6e-11 of the exact product while s <= 1e6, so
 # rint(s) rounds as .4f does unless s lies this close to a half
 _TIE_MARGIN = 1e-9
 
 
-def _format_rows(times: np.ndarray, values: np.ndarray) -> bytes | np.ndarray:
+def _format_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The bytes of one block's rows, as format_timestamp and ``.4f`` write them."""
-    percents = values * 100.0
-    lo, hi = _MATRIX_STAMP_RANGE
-    if not (lo <= times[0] and times[-1] <= hi and np.array_equal(np.trunc(times), times)):  # times increase
-        text = "".join(
-            f"{stamp}Z,{percent:.4f}\n" for stamp, percent in zip(_format_stamps(times), percents.tolist())
-        )
-        return text.encode("ascii")
     rows = np.tile(_ROW_TEMPLATE, times.size).view(_ROW)
-    days, clock = np.divmod(times.astype(np.int64), 86400)
+    # microseconds as datetime.fromtimestamp rounds them: the whole seconds
+    # plus the rest rounded half-even, which may carry or borrow a second
+    seconds = np.trunc(times)
+    micros = seconds.astype(np.int64) * 1_000_000 + np.round((times - seconds) * 1e6).astype(np.int64)
+    days, micros = np.divmod(micros, 86_400_000_000)
+    clock, micros = np.divmod(micros, 1_000_000)
     new_day = np.r_[True, days[1:] != days[:-1]]
     rows["date"] = days[new_day].astype("datetime64[D]").astype("S10")[np.cumsum(new_day) - 1]
-    hours, clock = np.divmod(clock, 3600)
     minutes, secs = np.divmod(clock, 60)
-    rows["hour"], rows["minute"], rows["second"] = _TWO_DIGITS[hours], _TWO_DIGITS[minutes], _TWO_DIGITS[secs]
+    rows["hour_minute"], rows["second"] = _HOURS_MINUTES[minutes], _TWO_DIGITS[secs]
+    if micros.any():  # else the template's filler stands for the whole field
+        milli, micro = np.divmod(micros, 1000)
+        rows["point"] = np.where(micros > 0, b".", b" ")
+        rows["milli"] = np.where(micro > 0, _THREE_DIGITS[milli], _THREE_DIGITS_TRIMMED[milli])
+        rows["micro"] = _THREE_DIGITS_TRIMMED[micro]
+    percents = values * 100.0
     scaled = percents * 1e4
     whole, fraction = np.divmod(np.rint(scaled).astype(np.int64), 10_000)
     rows["whole"] = _WHOLE_PERCENTS[whole]
-    rows["hundredths"], rows["ten_thousandths"] = _TWO_DIGITS[fraction // 100], _TWO_DIGITS[fraction % 100]
+    rows["decimals"] = _FOUR_DIGITS[fraction]
     # near a tie, and for -0.0, only Python's correctly rounded .4f will do
     for i in np.flatnonzero((np.abs(scaled - np.floor(scaled) - 0.5) <= _TIE_MARGIN) | np.signbit(percents)):
         text = f"{percents[i]:8.4f}".encode()
-        rows["whole"][i], rows["hundredths"][i], rows["ten_thousandths"][i] = text[:3], text[4:6], text[6:]
+        rows["whole"][i], rows["decimals"][i] = text[:3], text[4:]
     flat = rows.view(np.uint8)
     return flat[flat != _FILLER]
-
-
-# The split below matches datetime.fromtimestamp from 1970 to the year 9999.
-# Before 1970 it borrows a second for the negative fraction, and after 9999
-# it raises; outside the span format_timestamp runs row by row.
-_FAST_FORMAT_RANGE = (0.0, dt.datetime(9999, 12, 31, 23, 59, 59, tzinfo=_UTC).timestamp())
-
-
-def _format_stamps(times: np.ndarray) -> list[str]:
-    """format_timestamp for every element, without its trailing 'Z'.
-
-    Rounds to microseconds exactly as datetime.fromtimestamp does: split off
-    the whole seconds and round the rest half-even. A rest that rounds to a
-    full second carries into the sum below.
-    """
-    lo, hi = _FAST_FORMAT_RANGE
-    if not (lo <= times[0] and times[-1] < hi):  # times increase
-        return [format_timestamp(float(t))[:-1] for t in times]
-    whole = np.trunc(times)
-    micros = np.round((times - whole) * 1e6)
-    stamps = (whole.astype(np.int64) * 1_000_000 + micros.astype(np.int64)).astype("datetime64[us]")
-    return [s.rstrip("0").rstrip(".") for s in np.datetime_as_string(stamps, unit="us").tolist()]
 
 
 def check_window_seconds(window_seconds: float) -> float:

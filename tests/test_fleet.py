@@ -465,12 +465,22 @@ class TestAnalyzeManifest:
         par = analyze_manifest(entries, fleet_dir, catalog, model, [0.8], jobs=2)
         assert seq.to_dict() == par.to_dict()
 
-    def test_invalid_jobs(self, fleet_dir, model):
+    @pytest.mark.parametrize("setting, value, message", [
+        pytest.param("jobs", 0, "jobs must be", id="jobs"),
+        pytest.param("targets", [2.0], "target utilization must be", id="targets"),
+        pytest.param("baseline", "no-such-baseline", "baseline must be", id="baseline"),
+        pytest.param("window_seconds", 0.0, "window_seconds must be", id="window_seconds"),
+        pytest.param("percentile", 0.0, "percentile must be", id="percentile"),
+        pytest.param("min_days", 0, "min_days must be", id="min_days"),
+    ])
+    def test_invalid_setting(self, tmp_path, model, setting, value, message):
         from migrent import bundled_catalog
 
-        entries = load_manifest(fleet_dir / "manifest.csv")
-        with pytest.raises(ValueError):
-            analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.8], jobs=0)
+        # no trace exists, so only an up-front check can name the setting
+        entries = [ManifestEntry(f"ghost{i}", f"traces/ghost{i}.csv", "fx-quad-2011", "dc-x") for i in range(2)]
+        settings = {"targets": [0.8], setting: value}
+        with pytest.raises(ValueError, match=message):
+            analyze_manifest(entries, tmp_path, bundled_catalog(), model, **settings)
 
     def test_pool_has_no_more_workers_than_rows(self, fleet_dir, model, monkeypatch):
         from migrent import bundled_catalog

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from migrent import (
@@ -28,6 +28,10 @@ from migrent.trace import _BLOCK_ROWS, _parse_canonical, _parse_rows, format_tim
 
 from conftest import POSIX_2016_06_01, constant_trace, make_trace
 from oracles import nearest_rank_ref, riemann, smooth_ref
+
+
+YEAR_1 = int(parse_timestamp("0001-01-01T00:00:00Z"))
+YEAR_9999_LAST = int(parse_timestamp("9999-12-31T23:59:59Z"))
 
 
 def trace_csv(rows) -> io.StringIO:
@@ -220,6 +224,41 @@ class TestWriteMatchesFormatTimestamp:
 
     def test_stamps_before_1970(self):
         trace = make_trace([-86_400.25, -0.5, 0.0, 0.75], [0.1, 0.2, 0.3, 0.4])
+        assert self.written(trace) == self.row_by_row(trace)
+
+    def test_fractional_stamps_in_years_below_1000(self):
+        rng = np.random.default_rng(999)
+        whole = np.unique(rng.integers(YEAR_1, parse_timestamp("0999-12-31T23:59:59Z"), 5000))
+        trace = make_trace(whole + rng.random(whole.size), rng.random(whole.size))
+        text = self.written(trace)
+        assert text.splitlines()[1].startswith("0")
+        assert text == self.row_by_row(trace)
+
+    def test_last_writable_stamps(self):
+        top = parse_timestamp("9999-12-31T23:59:59.999Z")
+        trace = make_trace([np.nextafter(top - 1.0, 0.0), top - 1.0, np.nextafter(top, 0.0), top], [0.1, 0.2, 0.3, 0.4])
+        text = self.written(trace)
+        assert text.splitlines()[-1].startswith("9999-12-31T23:59:59.998")  # the float nearest .999
+        assert text == self.row_by_row(trace)
+
+    def test_half_microsecond_ties_before_1970(self):
+        # j/128 s is an exact float and an exact half microsecond for odd j
+        j = np.arange(1, 4000)
+        trace = make_trace(-86_400.0 * 400 + 3.0 * j + j % 128 / 128.0, np.full(j.size, 0.5))
+        assert self.written(trace) == self.row_by_row(trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        whole=st.lists(st.integers(YEAR_1, YEAR_9999_LAST - 1), min_size=2, max_size=50, unique=True),
+        fractions=st.lists(
+            st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 127).map(lambda j: j / 128.0)),
+            min_size=50, max_size=50,
+        ),
+    )
+    def test_any_stamp_in_years_1_to_9999(self, whole, fractions):
+        times = np.unique(np.sort(whole) + np.array(fractions[: len(whole)]))  # a sum may round up to the next
+        assume(times.size >= 2)
+        trace = make_trace(times, np.linspace(0.0, 1.0, times.size))
         assert self.written(trace) == self.row_by_row(trace)
 
     @pytest.mark.parametrize("times", [
