@@ -27,7 +27,7 @@ from . import synth as synth_mod
 from .catalog import bundled_catalog, compute_ce, lift_and_shift_fraction, load_catalog
 from .energy import DEFAULT_IDLE_FRACTION, DEFAULT_LINEAR_MIX, EnergyModel
 from .errors import FleetError, InsufficientDataError, MigrentError
-from .report import dumps_stable, format_float
+from .report import check_target_names, dumps_stable, format_float
 from .scenarios import BASELINES, BASELINE_LIFT_AND_SHIFT, MachineRecord, analyze_machine, check_baseline, check_targets
 from .trace import (
     DEFAULT_MIN_DAYS,
@@ -103,12 +103,11 @@ def _parse_targets(key: str, raw) -> tuple[float, ...]:
         values = [_number(key, v) for v in raw]
     else:
         raise ValueError(f"targets must be a list or comma-separated string, got {raw!r}")
-    seen = set()
-    for v in check_targets(values):
-        # reports and CSV file names show targets at output precision
-        if (shown := format_float(v)) in seen:
-            raise ValueError(f"duplicate target utilization {shown} in {raw!r}")
-        seen.add(shown)
+    check_targets(values)
+    try:
+        check_target_names(values)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {raw!r}") from None
     return tuple(values)
 
 
@@ -307,7 +306,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
     if csv_dir is not None:
         fleet_mod.write_csv_reports(report, csv_dir)
-    sys.stdout.write(dumps_stable(report.to_dict()))
+    report.write_json(sys.stdout)
     return EXIT_OK
 
 

@@ -9,8 +9,8 @@ fleet where *every* machine fails raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -19,15 +19,16 @@ import numpy as np
 from .catalog import Catalog
 from .energy import EnergyModel
 from .errors import FleetError, ManifestError, MigrentError
-from .report import format_float
+from .report import check_target_names, format_float, write_machines
 from .scenarios import (
     BASELINE_LIFT_AND_SHIFT,
     SCENARIO_NAMES,
+    MachineColumns,
     MachineRecord,
     ScenarioReport,
-    analyze_machine,
     check_baseline,
     check_targets,
+    machine_columns,
 )
 from .table import read_table, write_table
 from .trace import (
@@ -92,9 +93,9 @@ def write_manifest(entries: Iterable[ManifestEntry], dest) -> None:
 
 
 def _analyze_entry(
-    entry: ManifestEntry, base_dir: str, analyze: Callable[[MachineRecord], ScenarioReport]
-) -> ScenarioReport | Exclusion:
-    """Worker for one manifest row: the machine's report, or why it was excluded."""
+    entry: ManifestEntry, base_dir: str, analyze: Callable[[MachineRecord], MachineColumns]
+) -> MachineColumns | Exclusion:
+    """Worker for one manifest row: the machine's results, or why it was excluded."""
     try:
         trace = parse_trace(Path(base_dir) / entry.trace_path, machine_id=entry.machine_id)
         record = MachineRecord(entry.machine_id, trace, entry.cpu_model, entry.datacenter_id)
@@ -105,29 +106,42 @@ def _analyze_entry(
 
 @dataclass(frozen=True)
 class FleetReport:
-    """Aggregated fleet results plus the per-machine reports behind them."""
+    """Aggregated fleet results plus each machine's, as columns in machine-id order.
+
+    ``reports`` builds the machines' ``ScenarioReport`` objects on first use.
+    """
 
     baseline: str
     targets: tuple[float, ...]
-    reports: tuple[ScenarioReport, ...]
+    columns: tuple[MachineColumns, ...] = field(repr=False, compare=False)
     exclusions: tuple[Exclusion, ...]
     means: tuple[dict, ...]
     size_bins: tuple[dict, ...]
     utilization_by_release: tuple[dict, ...]
     cdfs: Mapping[tuple[str, float], list[tuple[float, float]]]
 
-    def to_dict(self) -> dict:
+    @cached_property
+    def reports(self) -> tuple[ScenarioReport, ...]:
+        return tuple(c.to_report(self.targets) for c in self.columns)
+
+    def _head(self) -> dict:
         return {
             "baseline": self.baseline,
             "targets": list(self.targets),
-            "machines_analyzed": len(self.reports),
+            "machines_analyzed": len(self.columns),
             "machines_excluded": len(self.exclusions),
             "mean_table": [dict(m) for m in self.means],
             "size_bins": [dict(b) for b in self.size_bins],
             "utilization_by_release": [dict(r) for r in self.utilization_by_release],
             "exclusions": [e.to_dict() for e in self.exclusions],
-            "machines": [r.to_dict() for r in self.reports],
         }
+
+    def to_dict(self) -> dict:
+        return {**self._head(), "machines": [r.to_dict() for r in self.reports]}
+
+    def write_json(self, stream) -> None:
+        """Write ``dumps_stable(self.to_dict())`` to ``stream``, one machine at a time, from the columns."""
+        write_machines(stream, self._head(), self.columns, self.targets)
 
 
 def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
@@ -136,12 +150,15 @@ def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     Sorted ascending; repeated values collapse to one point carrying the
     highest probability. The last point always has probability 1.
     """
-    data = np.sort(np.asarray(values, dtype=np.float64))
-    if data.size == 0:
+    if len(values) == 0:
         raise MigrentError("cdf needs at least one value")
-    probs = np.arange(1, data.size + 1) / data.size
-    keep = np.concatenate((data[1:] != data[:-1], [True]))
-    return [(float(v), float(p)) for v, p in zip(data[keep], probs[keep])]
+    return _cdf_points(np.sort(np.asarray(values, dtype=np.float64)).tolist())
+
+
+def _cdf_points(data: list[float]) -> list[tuple[float, float]]:
+    """The CDF points of ascending ``data``: the last copy of each value."""
+    n = len(data)
+    return [(v, (i + 1) / n) for i, v in enumerate(data) if i + 1 == n or data[i + 1] != v]
 
 
 def _group(values: Iterable, keys: Iterable) -> dict[object, list]:
@@ -160,6 +177,58 @@ def _datacenters(reports: Sequence[ScenarioReport]) -> list[str]:
     return [report.datacenter_id or "unknown" for report in reports]
 
 
+def _row_means(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean over its non-NaN values (NaN if there are none), and their count.
+
+    Rows without NaN take one ``np.mean(axis=1)`` over a C-contiguous copy,
+    which sums each row pairwise as ``np.mean`` over the row alone does, so
+    the last bits agree; ``np.bincount`` and ``np.add.reduceat`` would not.
+    """
+    present = ~np.isnan(block)
+    counts = present.sum(axis=1)
+    means = np.full(len(block), np.nan)
+    full = counts == block.shape[1]
+    means[full] = np.mean(block[full], axis=1)
+    for i in np.flatnonzero(~full & (counts > 0)):
+        means[i] = np.mean(block[i, present[i]])  # the row's values compacted
+    return means, counts
+
+
+def _summarize(
+    columns: Iterable[MachineColumns], exclusions: Sequence[Exclusion], targets: tuple[float, ...],
+    catalog: Catalog, baseline: str,
+) -> FleetReport:
+    """The fleet tables from per-machine columns: the kernel of ``aggregate`` and ``analyze_manifest``.
+
+    The values form one block with a row per (target, scenario) cell, in
+    mean-table order, and a column per machine, in machine-id order. For the
+    datacenter means its columns are regrouped into one block per
+    datacenter, in order of each one's first machine.
+    """
+    columns = tuple(sorted(columns, key=lambda c: c.machine.machine_id))
+    machines = [c.machine for c in columns]
+    block = np.concatenate((
+        np.broadcast_to([m.lift_and_shift for m in machines], (len(targets), 1, len(machines))),
+        np.stack([c.scenario_values() for c in columns], axis=-1),
+    ), axis=1).reshape(-1, len(machines))  # (targets × SCENARIO_NAMES, machines)
+
+    machine_means, counts = _row_means(block)
+    groups = _group(range(len(machines)), _datacenters(machines)).values()
+    by_dc = block[:, [i for group in groups for i in group]]
+    bounds = np.cumsum([0, *map(len, groups)])
+    dc_means, _ = _row_means(np.stack([_row_means(by_dc[:, a:b])[0] for a, b in zip(bounds, bounds[1:])], axis=-1))
+    cells = [(target, scenario) for target in targets for scenario in SCENARIO_NAMES]
+    means = tuple(
+        {"target": t, "scenario": s, "machine_mean": None if m != m else m,
+         "datacenter_mean": None if d != d else d, "machines": n}
+        for (t, s), m, d, n in zip(cells, machine_means.tolist(), dc_means.tolist(), counts.tolist())
+    )
+    ordered = np.sort(block, axis=1).tolist()  # NaN sorts last
+    cdfs = {(s, t): _cdf_points(row[:n]) for (t, s), row, n in zip(cells, ordered, counts.tolist()) if n}
+    return FleetReport(baseline, targets, columns, tuple(exclusions), means, tuple(group_by_size(machines)),
+                       tuple(utilization_by_release(machines, catalog)), cdfs)
+
+
 def aggregate(
     reports: Sequence[ScenarioReport],
     exclusions: Sequence[Exclusion],
@@ -171,56 +240,15 @@ def aggregate(
 
     Machine means average over machines that have a value for the scenario;
     datacenter means first average within each datacenter, then across
-    datacenters, so a huge datacenter cannot drown out the small ones.
+    datacenters, so a huge datacenter cannot drown out the small ones. The
+    reports are read into the columns ``analyze_manifest`` builds (see
+    ``MachineColumns.from_report``).
     """
     if not reports:
         raise FleetError("no machines to aggregate", exclusions)
-    reports = tuple(sorted(reports, key=lambda r: r.machine_id))
     targets = tuple(check_targets(targets))  # the means table has a row per target and scenario
-    datacenters = _datacenters(reports)
-    # the first row for a target wins, as in ScenarioReport.scenario_value
-    rows = [{row.target: row for row in reversed(report.targets)} for report in reports]
-
-    means = []
-    cdfs: dict[tuple[str, float], list[tuple[float, float]]] = {}
-    for target in targets:
-        for report, by_target in zip(reports, rows):
-            if target not in by_target:
-                raise KeyError(f"target {target} not in report for {report.machine_id}")
-        for scenario in SCENARIO_NAMES:
-            # one value per machine in machine-id order, None where undefined
-            column = [getattr(by_target[target], scenario) for by_target in rows]
-            values = [v for v in column if v is not None]
-            dc_means = []
-            for dc_column in _group(column, datacenters).values():
-                dc_values = [v for v in dc_column if v is not None]
-                if dc_values:
-                    dc_means.append(float(np.mean(dc_values)))
-            means.append(
-                {
-                    "target": target,
-                    "scenario": scenario,
-                    "machine_mean": float(np.mean(values)) if values else None,
-                    "datacenter_mean": float(np.mean(dc_means)) if dc_means else None,
-                    "machines": len(values),
-                }
-            )
-            if values:
-                cdfs[(scenario, target)] = cdf(values)
-
-    size_bins = group_by_size(reports)
-    by_release = utilization_by_release(reports, catalog)
-
-    return FleetReport(
-        baseline=baseline,
-        targets=targets,
-        reports=reports,
-        exclusions=tuple(exclusions),
-        means=tuple(means),
-        size_bins=tuple(size_bins),
-        utilization_by_release=tuple(by_release),
-        cdfs=cdfs,
-    )
+    columns = [MachineColumns.from_report(r, targets) for r in sorted(reports, key=lambda r: r.machine_id)]
+    return _summarize(columns, exclusions, targets, catalog, baseline)
 
 
 def group_by_size(reports: Sequence[ScenarioReport], bin_count: int = DEFAULT_SIZE_BINS) -> list[dict]:
@@ -318,7 +346,7 @@ def analyze_manifest(
     check_min_days(min_days)
     # one picklable callable carries every setting to the workers
     analyze = partial(
-        analyze_machine, targets=targets, model=model, catalog=catalog, baseline=baseline,
+        machine_columns, targets=targets, model=model, catalog=catalog, baseline=baseline,
         window_seconds=window_seconds, percentile=percentile, min_days=min_days,
     )
     work = partial(_analyze_entry, base_dir=str(base_dir), analyze=analyze)
@@ -329,16 +357,18 @@ def analyze_manifest(
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool forks all its workers at the first submit, and at most one per row has work
-        with ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
-            results = list(pool.map(work, entries, chunksize=8))
+        workers = min(jobs, len(entries))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # four chunks per worker, as multiprocessing.Pool.map sizes them, so no worker idles long
+            results = list(pool.map(work, entries, chunksize=-(-len(entries) // (4 * workers))))
 
-    reports = [r for r in results if isinstance(r, ScenarioReport)]
+    columns = [r for r in results if isinstance(r, MachineColumns)]
     exclusions = [r for r in results if isinstance(r, Exclusion)]
-    if not reports:
+    if not columns:
         raise FleetError(
             f"all {len(exclusions)} machines failed to analyze", exclusions
         )
-    return aggregate(reports, exclusions, targets, catalog, baseline)
+    return _summarize(columns, exclusions, targets, catalog, baseline)
 
 
 def _fmt(value) -> str:
@@ -354,8 +384,10 @@ def write_csv_reports(report: FleetReport, out_dir) -> list[Path]:
 
     One CDF file per scenario and target plus the mean table, the
     datacenter size bins, and the peak-utilization-by-release-year table.
-    Each table's header is its rows' keys.
+    Each table's header is its rows' keys. Targets that share a file name
+    raise ``ValueError`` before any file is written.
     """
+    check_target_names(report.targets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -34,7 +34,7 @@ The public ``*_fraction`` functions are views of the same energy functions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -147,6 +147,56 @@ class ScenarioReport:
             if row.target == target:
                 return getattr(row, scenario)
         raise KeyError(f"target {target} not in report for {self.machine_id}")
+
+
+@dataclass(frozen=True)
+class MachineColumns:
+    """One machine's analysis as numbers, the form a fleet worker sends back.
+
+    ``machine`` is the report without its target rows. ``values`` has one
+    row per target, in the order the targets were given, and the columns
+    static_resize, combined, then the ideal and hourly auto-scaling
+    fractions against each of ``BASELINES`` in turn. NaN marks a value that
+    is undefined, ``None`` in the report.
+    """
+
+    machine: ScenarioReport
+    values: np.ndarray
+
+    @classmethod
+    def from_report(cls, report: ScenarioReport, targets: Sequence[float]) -> MachineColumns:
+        """``report``'s first row for each of ``targets``, as columns."""
+        rows = {row.target: row for row in reversed(report.targets)}
+        values = []
+        for target in targets:
+            if target not in rows:
+                raise KeyError(f"target {target} not in report for {report.machine_id}")
+            row, vs = rows[target], rows[target].autoscale_vs
+            values.append([row.static_resize, row.combined, *(vs[b][k] for b in BASELINES for k in ("ideal", "hourly"))])
+        return cls(replace(report, targets=()), np.array(values, dtype=np.float64))  # None becomes NaN
+
+    def row_columns(self) -> list[int]:
+        """The columns of a report row's values after target and lift_and_shift, in ``to_dict`` order.
+
+        static_resize, combined, autoscale_ideal and autoscale_hourly (the
+        machine's baseline), then the ``autoscale_vs`` pairs.
+        """
+        ideal = 2 + 2 * BASELINES.index(self.machine.baseline)
+        return [0, 1, ideal, ideal + 1, *range(2, self.values.shape[1])]
+
+    def scenario_values(self) -> np.ndarray:
+        """Each target's static_resize, combined, autoscale_ideal and autoscale_hourly, as in the report."""
+        return self.values[:, self.row_columns()[:4]]
+
+    def to_report(self, targets: Sequence[float]) -> ScenarioReport:
+        """The full report, ``targets`` naming the rows of ``values``."""
+        rows = []
+        for target, row in zip(targets, self.values.tolist()):
+            static, combined, *vs = (None if v != v else v for v in row)
+            by_baseline = {b: {"ideal": vs[i], "hourly": vs[i + 1]} for i, b in zip((0, 2), BASELINES)}
+            chosen = by_baseline[self.machine.baseline].values()  # autoscale_ideal, autoscale_hourly
+            rows.append(TargetScenarios(target, self.machine.lift_and_shift, static, combined, *chosen, by_baseline))
+        return replace(self.machine, targets=tuple(rows))
 
 
 def _check_target(target: float) -> float:
@@ -427,7 +477,7 @@ def _gap_warnings(trace: UtilizationTrace) -> tuple[str, ...]:
     )
 
 
-def analyze_machine(
+def machine_columns(
     machine: MachineRecord,
     targets: Sequence[float],
     model: EnergyModel,
@@ -436,13 +486,8 @@ def analyze_machine(
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
     percentile: float = DEFAULT_PERCENTILE,
     min_days: int = DEFAULT_MIN_DAYS,
-) -> ScenarioReport:
-    """Compute every scenario fraction for one machine at each target.
-
-    Always-idle machines (estimated peak 0) are flagged rather than failed:
-    their resize-based scenarios are ``None`` and auto-scaling is reported
-    against the lift-and-shift baseline only.
-    """
+) -> MachineColumns:
+    """:func:`analyze_machine`'s results as numbers, the form a fleet worker sends back."""
     baseline = check_baseline(baseline)
     targets = check_targets(targets)
 
@@ -461,37 +506,34 @@ def analyze_machine(
     for target in targets:
         num_ideal = _ideal_energy(model, target, demand)
         num_hourly = _hourly_energy(hours, target, model)
-        vs_ls = {"ideal": _ratio(num_ideal, den_ls), "hourly": _ratio(num_hourly, den_ls)}
+        vs_ls = (_ratio(num_ideal, den_ls), _ratio(num_hourly, den_ls))
         if idle:
-            static = combined = None
-            vs_sr = {"ideal": None, "hourly": None}
+            rows.append((None, None, *vs_ls, None, None))
         else:
             den_sr = _resized_energy(moments, model, peak, target)
             static = den_sr / den_ls
-            combined = ls * static
-            vs_sr = {"ideal": _ratio(num_ideal, den_sr), "hourly": _ratio(num_hourly, den_sr)}
-        by_baseline = {BASELINE_LIFT_AND_SHIFT: vs_ls, BASELINE_STATIC_RESIZED: vs_sr}
-        chosen = by_baseline[baseline]
-        rows.append(
-            TargetScenarios(
-                target=target,
-                lift_and_shift=ls,
-                static_resize=static,
-                combined=combined,
-                autoscale_ideal=chosen["ideal"],
-                autoscale_hourly=chosen["hourly"],
-                autoscale_vs=by_baseline,
-            )
-        )
+            rows.append((static, ls * static, *vs_ls, _ratio(num_ideal, den_sr), _ratio(num_hourly, den_sr)))
 
-    return ScenarioReport(
-        machine_id=machine.machine_id,
-        cpu_model=machine.on_prem_cpu,
-        datacenter_id=machine.datacenter_id,
-        baseline=baseline,
-        peak_utilization=peak,
-        idle_machine=idle,
-        lift_and_shift=ls,
-        targets=tuple(rows),
-        coverage_warnings=_gap_warnings(trace),
-    )
+    shell = ScenarioReport(machine.machine_id, machine.on_prem_cpu, machine.datacenter_id, baseline,
+                           peak, idle, ls, (), _gap_warnings(trace))
+    return MachineColumns(shell, np.array(rows, dtype=np.float64))  # None becomes NaN
+
+
+def analyze_machine(
+    machine: MachineRecord,
+    targets: Sequence[float],
+    model: EnergyModel,
+    catalog: Catalog,
+    baseline: str = BASELINE_LIFT_AND_SHIFT,
+    window_seconds: float = DEFAULT_WINDOW_SECONDS,
+    percentile: float = DEFAULT_PERCENTILE,
+    min_days: int = DEFAULT_MIN_DAYS,
+) -> ScenarioReport:
+    """Compute every scenario fraction for one machine at each target.
+
+    Always-idle machines (estimated peak 0) are flagged rather than failed:
+    their resize-based scenarios are ``None`` and auto-scaling is reported
+    against the lift-and-shift baseline only.
+    """
+    columns = machine_columns(machine, targets, model, catalog, baseline, window_seconds, percentile, min_days)
+    return columns.to_report(check_targets(targets))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import migrent
 from migrent import write_trace
 from migrent.cli import main
+from migrent.report import dumps_stable
 
 from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace
 
@@ -202,10 +203,14 @@ class TestFleet:
         assert out_a == out_b
 
     def test_jobs_flag_gives_same_output(self, capsys, corpus):
-        base = ("fleet", str(corpus / "manifest.csv"), "--targets", "0.8")
+        targets = [(k + 1) / 100 for k in range(100)]
+        base = ("fleet", str(corpus / "manifest.csv"), "--targets", ",".join(map(str, targets)))
         _, out_seq, _ = run(capsys, *base, "--jobs", "1")
         _, out_par, _ = run(capsys, *base, "--jobs", "2")
-        assert out_seq == out_par
+        entries = migrent.load_manifest(corpus / "manifest.csv")
+        fleet = migrent.analyze_manifest(entries, corpus, migrent.bundled_catalog(), migrent.EnergyModel(), targets)
+        # the streaming writer against the whole-tree renderer
+        assert out_seq == out_par == dumps_stable(fleet.to_dict())
 
     def test_partial_failure_is_excluded(self, capsys, corpus, tmp_path):
         manifest = (corpus / "manifest.csv").read_text()

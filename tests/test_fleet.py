@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import migrent.fleet
 from migrent import (
@@ -35,7 +37,10 @@ from migrent import (
     write_csv_reports,
     write_fleet,
     write_manifest,
+    write_trace,
 )
+
+from migrent.report import dumps_stable
 
 from conftest import POSIX_2016_06_01, make_trace
 
@@ -282,47 +287,117 @@ def reference_tables(reports, targets, catalog):
 
 
 class TestAggregateDifferential:
-    # (datacenter, CPU) per machine, in machine-id order: eight datacenters of
+    # (datacenter, CPU) per machine, in machine-id order: nine datacenters of
     # one to four machines, one of them unnamed; m00 is idle and first in dc-c,
-    # so dc-c comes first among the datacenters of every column
+    # so dc-c comes first among the datacenters of every column. Every machine
+    # in dc-f and dc-h is idle, so their resize columns hold no value.
     PLACEMENT = [
         ("dc-c", "old-box"), ("dc-a", "mid-box"), ("dc-b", "new-box"), ("dc-c", "mid-box"),
         ("dc-d", "old-box"), ("dc-a", "new-box"), (None, "old-box"), ("dc-e", "mid-box"),
-        ("dc-b", "old-box"), ("dc-f", "new-box"), ("dc-c", "new-box"), ("dc-g", "old-box"),
+        ("dc-b", "old-box"), ("dc-f", "new-box"), ("dc-c", "new-box"), ("dc-h", "old-box"),
         ("dc-a", "old-box"), ("dc-c", "mid-box"), ("dc-d", "new-box"), ("dc-e", "old-box"),
+        ("dc-h", "mid-box"), ("dc-g", "old-box"),
     ]
-    IDLE = {"m00", "m09"}
+    IDLE = {"m00", "m09", "m11", "m16"}
 
-    def reports(self, catalog, baseline):
+    def traces(self):
         rng = np.random.default_rng(11)
         times = POSIX_2016_06_01 + np.arange(8 * 144) * 600.0
-        reports = []
         for i, (dc, cpu) in enumerate(self.PLACEMENT):
             machine_id = f"m{i:02d}"
             values = rng.uniform(0.0, rng.uniform(0.1, 1.0), times.size)
             if machine_id in self.IDLE:
                 values[:] = 0.0
-            record = MachineRecord(machine_id, make_trace(times, values, machine_id), cpu, dc)
-            reports.append(analyze_machine(record, (0.5, 0.8), EnergyModel(), catalog, baseline=baseline))
+            yield MachineRecord(machine_id, make_trace(times, values, machine_id), cpu, dc)
+
+    def reports(self, catalog, baseline):
+        reports = [analyze_machine(r, (0.5, 0.8), EnergyModel(), catalog, baseline=baseline) for r in self.traces()]
         return reports[::-1]  # aggregate sorts them
 
-    @pytest.mark.parametrize("baseline", BASELINES)
-    def test_matches_plain_scan_exactly(self, small_catalog, baseline):
-        reports = self.reports(small_catalog, baseline)
-        assert sum(r.idle_machine for r in reports) == len(self.IDLE)
-        targets = [0.8, 0.5]  # the reverse of the reports' rows
-        fleet = aggregate(reports, [], targets, small_catalog, baseline)
-        means, cdfs, size_bins, by_release = reference_tables(reports, targets, small_catalog)
+    def check(self, fleet, reports, targets, catalog):
+        means, cdfs, size_bins, by_release = reference_tables(reports, targets, catalog)
         assert list(fleet.means) == means
         assert fleet.cdfs == cdfs
         assert list(fleet.size_bins) == size_bins
         assert list(fleet.utilization_by_release) == by_release
         assert any(m["machines"] < len(reports) for m in means)  # the idle machines' None values
 
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_matches_plain_scan_exactly(self, small_catalog, baseline):
+        reports = self.reports(small_catalog, baseline)
+        assert sum(r.idle_machine for r in reports) == len(self.IDLE)
+        targets = [0.8, 0.5]  # the reverse of the reports' rows
+        self.check(aggregate(reports, [], targets, small_catalog, baseline), reports, targets, small_catalog)
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_manifest_columns_match_plain_scan_exactly(self, small_catalog, baseline, tmp_path):
+        entries = []
+        for record in self.traces():
+            write_trace(record.trace, tmp_path / f"{record.machine_id}.csv")
+            entries.append(ManifestEntry(record.machine_id, f"{record.machine_id}.csv", record.on_prem_cpu,
+                                         record.datacenter_id or ""))
+        targets = [0.8, 0.5]
+        fleet = analyze_manifest(entries[::-1], tmp_path, small_catalog, EnergyModel(), targets, baseline)
+        assert sum(r.idle_machine for r in fleet.reports) == len(self.IDLE)
+        self.check(fleet, fleet.reports, targets, small_catalog)
+        dc_h = [r for r in fleet.reports if r.datacenter_id == "dc-h"]
+        assert len(dc_h) == 2 and all(r.idle_machine for r in dc_h)
+
     def test_missing_target_raises_key_error(self, small_catalog):
         reports = self.reports(small_catalog, BASELINE_LIFT_AND_SHIFT)
         with pytest.raises(KeyError, match="target 0.3 not in report for m00"):
             aggregate(reports, [], [0.8, 0.3], small_catalog)
+
+
+# strings that json.dumps escapes, and floats whose six-digit text differs from their repr
+ODD_TEXT = ['say "hi"', "back\\slash", "naïve — ü", "tab\tnew\nline", "\x00", "雲"]
+ODD_FLOATS = [1e-05, 100.0, 0.0, 1234567.0, 0.123456789, 2.5e-300]
+FRACTIONS = st.one_of(st.sampled_from(ODD_FLOATS), st.floats(-1e6, 1e6, allow_nan=False))
+TEXTS = st.one_of(st.sampled_from(ODD_TEXT), st.text(max_size=8))
+
+
+@st.composite
+def fleets(draw):
+    """Canonical reports, as analyze_machine shapes them, with exclusions and targets."""
+    targets = draw(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=3, unique_by=lambda t: f"{t:.6g}"))
+    baseline = draw(st.sampled_from(BASELINES))
+    ids = draw(st.lists(TEXTS.filter(bool), min_size=1, max_size=5, unique=True))
+    reports = []
+    for machine_id in ids:
+        idle = draw(st.booleans())
+        ls = draw(FRACTIONS)
+        rows = []
+        for target in targets:
+            cells = [None if idle and i not in (2, 3) else draw(st.one_of(st.none(), FRACTIONS)) for i in range(6)]
+            vs = {b: {"ideal": cells[i], "hourly": cells[i + 1]} for i, b in zip((2, 4), BASELINES)}
+            rows.append(TargetScenarios(target, ls, cells[0], cells[1], *vs[baseline].values(), vs))
+        reports.append(ScenarioReport(
+            machine_id, draw(st.sampled_from(["old-box", "mid-box", "new-box"])),
+            draw(st.one_of(st.none(), TEXTS)), baseline, draw(FRACTIONS), idle, ls, tuple(rows),
+            tuple(draw(st.lists(TEXTS, max_size=2))),
+        ))
+    exclusions = [Exclusion(machine_id, reason) for machine_id, reason in draw(st.lists(st.tuples(TEXTS, TEXTS)))]
+    return reports, exclusions, targets, baseline
+
+
+class TestStreamingWriter:
+    # the catalog is only read, so one instance may serve every example
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fleet=fleets())
+    def test_matches_dumps_stable(self, small_catalog, fleet):
+        reports, exclusions, targets, baseline = fleet
+        summary = aggregate(reports, exclusions, targets, small_catalog, baseline)
+        assert summary.reports == tuple(sorted(reports, key=lambda r: r.machine_id))  # the columns lose nothing
+        out = io.StringIO()
+        summary.write_json(out)
+        assert out.getvalue() == dumps_stable(summary.to_dict())
+
+    def test_refuses_infinity_as_dumps_stable_does(self, small_catalog):
+        summary = aggregate([fake_report("m1", "dc-a", ls=0.5, ideal=float("inf"))], [], [0.8], small_catalog)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps_stable(summary.to_dict())
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            summary.write_json(io.StringIO())
 
 
 class TestGroupBySize:
@@ -482,16 +557,14 @@ class TestAnalyzeManifest:
         with pytest.raises(ValueError, match=message):
             analyze_manifest(entries, tmp_path, bundled_catalog(), model, **settings)
 
-    def test_pool_has_no_more_workers_than_rows(self, fleet_dir, model, monkeypatch):
-        from migrent import bundled_catalog
-
-        sizes = []
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        """The pool size and the chunk size each fleet run asks for; the work runs in this process."""
+        calls = []
 
         class RecordingPool:
-            """Records the pool size asked for and runs the work in this process."""
-
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                calls.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -500,13 +573,33 @@ class TestAnalyzeManifest:
                 return False
 
             def map(self, fn, items, chunksize=1):
+                calls.append(chunksize)
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # fleet imports it on use
+        return calls
+
+    def test_pool_has_no_more_workers_than_rows(self, fleet_dir, model, pool_calls):
+        from migrent import bundled_catalog
+
         entries = load_manifest(fleet_dir / "manifest.csv")[:3]
         fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.8], jobs=64)
-        assert sizes == [3]
+        assert pool_calls == [3, 1]
         assert len(fleet.reports) == 3
+
+    @pytest.mark.parametrize("rows, chunksize", [
+        pytest.param(12, 2, id="12-rows-6-and-6"),  # a fixed chunk of 8 split them 8 + 4
+        pytest.param(20, 3, id="20-rows-four-chunks-per-worker-rounded-up"),
+    ])
+    def test_chunks_are_balanced_over_workers(self, fleet_dir, model, pool_calls, rows, chunksize):
+        from migrent import bundled_catalog
+
+        traces = load_manifest(fleet_dir / "manifest.csv")
+        entries = [ManifestEntry(f"m{i:02d}", traces[i % len(traces)].trace_path, traces[0].cpu_model, "dc-a")
+                   for i in range(rows)]
+        fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.8], jobs=2)
+        assert pool_calls == [2, chunksize]
+        assert len(fleet.reports) == rows
 
 
 class TestWriteCsvReports:
@@ -549,6 +642,16 @@ class TestWriteCsvReports:
         ):
             with (tmp_path / f"{name}.csv").open() as f:
                 assert next(csv.reader(f)) == list(rows[0])
+
+    def test_targets_sharing_a_file_name_write_nothing(self, fleet_dir, model, tmp_path):
+        from migrent import bundled_catalog
+
+        entries = load_manifest(fleet_dir / "manifest.csv")
+        fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.5, 0.5000001])
+        assert len(fleet.cdfs) == 10  # each would be written to cdf_<scenario>_0.5.csv
+        with pytest.raises(ValueError, match="duplicate target utilization 0.5"):
+            write_csv_reports(fleet, tmp_path / "csv")
+        assert not (tmp_path / "csv").exists()
 
     def test_none_serializes_as_empty_cell(self, small_catalog, tmp_path):
         fleet = aggregate(
