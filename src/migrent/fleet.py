@@ -150,9 +150,10 @@ def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     Sorted ascending; repeated values collapse to one point carrying the
     highest probability. The last point always has probability 1.
     """
-    if len(values) == 0:
-        raise MigrentError("cdf needs at least one value")
-    return _cdf_points(np.sort(np.asarray(values, dtype=np.float64)).tolist())
+    data = np.sort(np.asarray(values, dtype=np.float64))
+    if len(data) == 0 or np.isnan(data[-1]):  # NaN sorts last
+        raise MigrentError("cdf needs at least one value, and no NaN")
+    return _cdf_points(data.tolist())
 
 
 def _cdf_points(data: list[float]) -> list[tuple[float, float]]:
@@ -214,9 +215,7 @@ def _summarize(
 
     machine_means, counts = _row_means(block)
     groups = _group(range(len(machines)), _datacenters(machines)).values()
-    by_dc = block[:, [i for group in groups for i in group]]
-    bounds = np.cumsum([0, *map(len, groups)])
-    dc_means, _ = _row_means(np.stack([_row_means(by_dc[:, a:b])[0] for a, b in zip(bounds, bounds[1:])], axis=-1))
+    dc_means, _ = _row_means(np.stack([_row_means(block[:, group])[0] for group in groups], axis=-1))
     cells = [(target, scenario) for target in targets for scenario in SCENARIO_NAMES]
     means = tuple(
         {"target": t, "scenario": s, "machine_mean": None if m != m else m,

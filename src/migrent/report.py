@@ -1,10 +1,12 @@
 """Stable JSON rendering for analysis reports.
 
-Floats are rounded to 6 significant digits before serialization so output
-is compact and byte-identical across runs; key order is the insertion
-order chosen by the report builders. ``dumps_stable`` renders a whole
-report tree at once; ``iterencode`` yields the same text in pieces, and
-writes an iterator as a list without holding it.
+Floats are written with 6 significant digits so output is compact and
+byte-identical across runs; key order is the insertion order chosen by the
+report builders. One encoder, ``iterencode``, yields the text an indented
+``json.dumps`` gives for the rounded tree, in pieces, and writes an
+iterator as a list without holding it. ``dumps_stable`` joins its pieces
+for ``analyze`` and ``catalog show``; ``write_machines`` streams them for
+``fleet``, filling one template per target row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import math
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .scenarios import BASELINES, TargetScenarios
 
@@ -21,17 +22,6 @@ from .scenarios import BASELINES, TargetScenarios
 def format_float(value: float) -> str:
     """A float as text with 6 significant digits, the precision of all output."""
     return f"{value:.6g}"
-
-
-def round_floats(obj):
-    """Recursively round every float to 6 significant digits."""
-    if isinstance(obj, float):
-        return float(format_float(obj))
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
 
 
 def check_target_names(targets) -> None:
@@ -49,11 +39,11 @@ def check_target_names(targets) -> None:
 
 def dumps_stable(obj) -> str:
     """Serialize a report dict deterministically (trailing newline included)."""
-    return json.dumps(round_floats(obj), indent=2, allow_nan=False) + "\n"
+    return "".join(iterencode(obj)) + "\n"
 
 
 def json_float(value: float) -> str:
-    """A float as ``dumps_stable`` writes it; like it, refuses infinity and NaN."""
+    """A float as every report writes it; refuses infinity and NaN, as ``json.dumps(allow_nan=False)`` does."""
     if not math.isfinite(value):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     return repr(float(format_float(value)))
@@ -72,7 +62,7 @@ def _scalar(value) -> str:
 
 
 def iterencode(value, indent: str = ""):
-    """Yield ``dumps_stable(value)``'s text in pieces, without the final newline.
+    """Yield the stable JSON text of ``value`` in pieces, without the final newline.
 
     ``indent`` is the indentation of the line on which ``value`` starts. An
     iterator is written as a list, one item at a time.
@@ -111,11 +101,9 @@ def write_machines(stream, head: dict, machines, targets) -> None:
     def entry(columns) -> Raw:
         fields = columns.machine.to_dict()
         ls = json_float(columns.machine.lift_and_shift)
-        texts = ["null" if v != v else json_float(v) for v in columns.values.ravel().tolist()]
-        width = columns.values.shape[1]
-        pick = itemgetter(*columns.row_columns())  # each value after target and lift_and_shift, in row order
-        starts = range(0, len(texts), width)
-        fields["targets"] = [Raw(row % (t, ls, *pick(texts[i:i + width]))) for t, i in zip(target_texts, starts)]
+        # each row of values holds a target row's fields after target and lift_and_shift, in order
+        fields["targets"] = [Raw(row % (t, ls, *["null" if v != v else json_float(v) for v in values]))
+                             for t, values in zip(target_texts, columns.values.tolist())]
         return Raw("".join(iterencode(fields, " " * 4)))
 
     # pieces are joined into writes of about 64 KiB: with PYTHONUNBUFFERED or -u,

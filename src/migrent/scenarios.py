@@ -154,10 +154,11 @@ class MachineColumns:
     """One machine's analysis as numbers, the form a fleet worker sends back.
 
     ``machine`` is the report without its target rows. ``values`` has one
-    row per target, in the order the targets were given, and the columns
-    static_resize, combined, then the ideal and hourly auto-scaling
-    fractions against each of ``BASELINES`` in turn. NaN marks a value that
-    is undefined, ``None`` in the report.
+    row per target, in the order the targets were given, and a column per
+    value of a report row after target and lift_and_shift, in ``to_dict``
+    order: static_resize, combined, autoscale_ideal, autoscale_hourly, then
+    the ideal and hourly fractions against each of ``BASELINES`` in turn.
+    NaN marks a value that is undefined, ``None`` in the report.
     """
 
     machine: ScenarioReport
@@ -171,31 +172,22 @@ class MachineColumns:
         for target in targets:
             if target not in rows:
                 raise KeyError(f"target {target} not in report for {report.machine_id}")
-            row, vs = rows[target], rows[target].autoscale_vs
-            values.append([row.static_resize, row.combined, *(vs[b][k] for b in BASELINES for k in ("ideal", "hourly"))])
+            row = rows[target]
+            values.append([row.static_resize, row.combined, row.autoscale_ideal, row.autoscale_hourly,
+                           *(row.autoscale_vs[b][k] for b in BASELINES for k in ("ideal", "hourly"))])
         return cls(replace(report, targets=()), np.array(values, dtype=np.float64))  # None becomes NaN
-
-    def row_columns(self) -> list[int]:
-        """The columns of a report row's values after target and lift_and_shift, in ``to_dict`` order.
-
-        static_resize, combined, autoscale_ideal and autoscale_hourly (the
-        machine's baseline), then the ``autoscale_vs`` pairs.
-        """
-        ideal = 2 + 2 * BASELINES.index(self.machine.baseline)
-        return [0, 1, ideal, ideal + 1, *range(2, self.values.shape[1])]
 
     def scenario_values(self) -> np.ndarray:
         """Each target's static_resize, combined, autoscale_ideal and autoscale_hourly, as in the report."""
-        return self.values[:, self.row_columns()[:4]]
+        return self.values[:, :4]
 
     def to_report(self, targets: Sequence[float]) -> ScenarioReport:
         """The full report, ``targets`` naming the rows of ``values``."""
         rows = []
         for target, row in zip(targets, self.values.tolist()):
-            static, combined, *vs = (None if v != v else v for v in row)
-            by_baseline = {b: {"ideal": vs[i], "hourly": vs[i + 1]} for i, b in zip((0, 2), BASELINES)}
-            chosen = by_baseline[self.machine.baseline].values()  # autoscale_ideal, autoscale_hourly
-            rows.append(TargetScenarios(target, self.machine.lift_and_shift, static, combined, *chosen, by_baseline))
+            cells = [None if v != v else v for v in row]
+            by_baseline = {b: {"ideal": cells[i], "hourly": cells[i + 1]} for i, b in zip((4, 6), BASELINES)}
+            rows.append(TargetScenarios(target, self.machine.lift_and_shift, *cells[:4], by_baseline))
         return replace(self.machine, targets=tuple(rows))
 
 
@@ -507,12 +499,13 @@ def machine_columns(
         num_ideal = _ideal_energy(model, target, demand)
         num_hourly = _hourly_energy(hours, target, model)
         vs_ls = (_ratio(num_ideal, den_ls), _ratio(num_hourly, den_ls))
-        if idle:
-            rows.append((None, None, *vs_ls, None, None))
-        else:
+        static, combined, vs_sr = None, None, (None, None)
+        if not idle:
             den_sr = _resized_energy(moments, model, peak, target)
             static = den_sr / den_ls
-            rows.append((static, ls * static, *vs_ls, _ratio(num_ideal, den_sr), _ratio(num_hourly, den_sr)))
+            combined, vs_sr = ls * static, (_ratio(num_ideal, den_sr), _ratio(num_hourly, den_sr))
+        chosen = vs_ls if baseline == BASELINE_LIFT_AND_SHIFT else vs_sr
+        rows.append((static, combined, *chosen, *vs_ls, *vs_sr))  # the columns of MachineColumns
 
     shell = ScenarioReport(machine.machine_id, machine.on_prem_cpu, machine.datacenter_id, baseline,
                            peak, idle, ls, (), _gap_warnings(trace))

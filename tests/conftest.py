@@ -16,6 +16,10 @@ import datetime as dt
 
 POSIX_2016_06_01 = 1_464_739_200.0  # 2016-06-01T00:00:00Z
 
+# strings that json.dumps escapes, and floats whose six-digit text differs from their repr
+ODD_TEXT = ['say "hi"', "back\\slash", "naïve — ü", "tab\tnew\nline", "\x00", "雲"]
+ODD_FLOATS = [1e-05, 100.0, 0.0, 1234567.0, 0.123456789, 2.5e-300]
+
 
 def make_trace(times, values, machine_id="test") -> UtilizationTrace:
     return UtilizationTrace(machine_id, np.asarray(times, dtype=float), np.asarray(values, dtype=float))

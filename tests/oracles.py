@@ -9,6 +9,7 @@ is approximate (tight for smooth signals) and meaningfully independent.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -153,3 +154,19 @@ def random_walk_trace(rng: np.random.Generator, n: int, dt_range=(400.0, 900.0),
     steps[0] = 0.0
     u = np.clip(rng.uniform(*u0_range) + np.cumsum(steps), clip[0], clip[1])
     return t, u
+
+
+def dumps_stable_ref(obj) -> str:
+    """Stable report JSON from its definition: every float rounded to 6
+    significant digits, then the standard library's indented encoder."""
+
+    def rounded(value):
+        if isinstance(value, float):
+            return float(f"{value:.6g}")
+        if isinstance(value, dict):
+            return {k: rounded(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [rounded(v) for v in value]
+        return value
+
+    return json.dumps(rounded(obj), indent=2, allow_nan=False) + "\n"

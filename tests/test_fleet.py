@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -42,7 +43,7 @@ from migrent import (
 
 from migrent.report import dumps_stable
 
-from conftest import POSIX_2016_06_01, make_trace
+from conftest import ODD_FLOATS, ODD_TEXT, POSIX_2016_06_01, make_trace
 
 
 def fake_report(
@@ -143,6 +144,10 @@ class TestCdf:
         with pytest.raises(MigrentError):
             cdf([])
 
+    def test_nan_rejected(self):
+        with pytest.raises(MigrentError, match="NaN"):
+            cdf([float("nan"), 0.5, float("nan")])
+
     def test_shape_invariants(self):
         rng = np.random.default_rng(11)
         points = cdf(rng.uniform(0, 1, 200).round(2))
@@ -161,6 +166,15 @@ class TestAggregate:
     def test_out_of_range_target_rejected(self, small_catalog):
         with pytest.raises(ValueError, match=r"target utilization must be in \(0, 1\], got 1.5"):
             aggregate([fake_report("m1", "dc-a", ls=0.5)], [], [0.8, 1.5], small_catalog)
+
+    def test_reads_each_rows_own_autoscale_fields(self, small_catalog):
+        plain = fake_report("m1", "dc-a", ls=0.5)
+        row = dataclasses.replace(plain.targets[0], autoscale_ideal=0.41)  # autoscale_vs still says 0.4
+        report = dataclasses.replace(plain, targets=(row,))
+        fleet = aggregate([report], [], [0.8], small_catalog)
+        assert fleet.reports == (report,)
+        mean = next(m for m in fleet.means if m["scenario"] == "autoscale_ideal")
+        assert mean["machine_mean"] == report.scenario_value("autoscale_ideal", 0.8) == 0.41
 
     def test_machine_and_datacenter_means_weight_differently(self, small_catalog):
         reports = [
@@ -349,9 +363,6 @@ class TestAggregateDifferential:
             aggregate(reports, [], [0.8, 0.3], small_catalog)
 
 
-# strings that json.dumps escapes, and floats whose six-digit text differs from their repr
-ODD_TEXT = ['say "hi"', "back\\slash", "naïve — ü", "tab\tnew\nline", "\x00", "雲"]
-ODD_FLOATS = [1e-05, 100.0, 0.0, 1234567.0, 0.123456789, 2.5e-300]
 FRACTIONS = st.one_of(st.sampled_from(ODD_FLOATS), st.floats(-1e6, 1e6, allow_nan=False))
 TEXTS = st.one_of(st.sampled_from(ODD_TEXT), st.text(max_size=8))
 
