@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import difflib
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Mapping
@@ -36,10 +37,9 @@ class CpuSpec:
     def __post_init__(self):
         if not self.model_name:
             raise CatalogError("model_name must be non-empty")
-        if not self.spec_score > 0:
-            raise CatalogError(f"{self.model_name}: spec_score must be positive, got {self.spec_score}")
-        if not self.tdp_watts > 0:
-            raise CatalogError(f"{self.model_name}: tdp_watts must be positive, got {self.tdp_watts}")
+        for name, value in (("spec_score", self.spec_score), ("tdp_watts", self.tdp_watts)):
+            if not (math.isfinite(value) and value > 0):
+                raise CatalogError(f"{self.model_name}: {name} must be finite and positive, got {value}")
         if self.cores < 1:
             raise CatalogError(f"{self.model_name}: cores must be at least 1, got {self.cores}")
 

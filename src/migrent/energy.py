@@ -57,8 +57,8 @@ class PowerSample:
     def __post_init__(self):
         if not 0.0 <= self.utilization <= 1.0:
             raise ValueError(f"utilization must be in [0, 1], got {self.utilization}")
-        if not self.relative_power > 0.0:
-            raise ValueError(f"relative_power must be positive, got {self.relative_power}")
+        if not (math.isfinite(self.relative_power) and self.relative_power > 0.0):
+            raise ValueError(f"relative_power must be finite and positive, got {self.relative_power}")
 
 
 def power_unchecked(model: EnergyModel, u):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,7 +108,8 @@ def _analyze_entry(
 class FleetReport:
     """Aggregated fleet results plus each machine's, as columns in machine-id order.
 
-    ``reports`` builds the machines' ``ScenarioReport`` objects on first use.
+    ``reports`` builds the machines' ``ScenarioReport`` objects on first use,
+    and ``cdfs`` the distribution curves.
     """
 
     baseline: str
@@ -118,11 +119,17 @@ class FleetReport:
     means: tuple[dict, ...]
     size_bins: tuple[dict, ...]
     utilization_by_release: tuple[dict, ...]
-    cdfs: Mapping[tuple[str, float], list[tuple[float, float]]]
 
     @cached_property
     def reports(self) -> tuple[ScenarioReport, ...]:
         return tuple(c.to_report(self.targets) for c in self.columns)
+
+    @cached_property
+    def cdfs(self) -> dict[tuple[str, float], list[tuple[float, float]]]:
+        """The ``cdf`` of each (scenario, target) cell's values; a cell no machine has a value for has none."""
+        cells = [(scenario, target) for target in self.targets for scenario in SCENARIO_NAMES]
+        rows = (row[~np.isnan(row)] for row in _block(self.columns, self.targets))
+        return {cell: cdf(values) for cell, values in zip(cells, rows) if values.size}
 
     def _head(self) -> dict:
         return {
@@ -153,11 +160,7 @@ def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     data = np.sort(np.asarray(values, dtype=np.float64))
     if len(data) == 0 or np.isnan(data[-1]):  # NaN sorts last
         raise MigrentError("cdf needs at least one value, and no NaN")
-    return _cdf_points(data.tolist())
-
-
-def _cdf_points(data: list[float]) -> list[tuple[float, float]]:
-    """The CDF points of ascending ``data``: the last copy of each value."""
+    data = data.tolist()
     n = len(data)
     return [(v, (i + 1) / n) for i, v in enumerate(data) if i + 1 == n or data[i + 1] != v]
 
@@ -178,19 +181,33 @@ def _datacenters(reports: Sequence[ScenarioReport]) -> list[str]:
     return [report.datacenter_id or "unknown" for report in reports]
 
 
+def _block(columns: Sequence[MachineColumns], targets: Sequence[float]) -> np.ndarray:
+    """The machines' values as one C-contiguous block, NaN where a value is undefined.
+
+    A row per (target, scenario) cell, in mean-table order, and a column per
+    machine, in the order of ``columns``.
+    """
+    machines = [c.machine for c in columns]
+    return np.concatenate((
+        np.broadcast_to([m.lift_and_shift for m in machines], (len(targets), 1, len(machines))),
+        np.stack([c.scenario_values() for c in columns], axis=-1),
+    ), axis=1).reshape(-1, len(machines))
+
+
 def _row_means(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's mean over its non-NaN values (NaN if there are none), and their count.
 
-    Rows without NaN take one ``np.mean(axis=1)`` over a C-contiguous copy,
-    which sums each row pairwise as ``np.mean`` over the row alone does, so
-    the last bits agree; ``np.bincount`` and ``np.add.reduceat`` would not.
+    Rows without NaN take one ``np.mean(axis=1)``, which over a C-contiguous
+    block sums each row pairwise as ``np.mean`` over the row alone does, so
+    the last bits agree; ``np.bincount`` and ``np.add.reduceat`` would not,
+    nor would the same mean over a column-major block such as
+    ``block[:, group]``, which is therefore copied first.
     """
+    block = np.ascontiguousarray(block)
     present = ~np.isnan(block)
     counts = present.sum(axis=1)
-    means = np.full(len(block), np.nan)
-    full = counts == block.shape[1]
-    means[full] = np.mean(block[full], axis=1)
-    for i in np.flatnonzero(~full & (counts > 0)):
+    means = np.mean(block, axis=1)  # NaN for every row holding NaN
+    for i in np.flatnonzero((counts < block.shape[1]) & (counts > 0)):
         means[i] = np.mean(block[i, present[i]])  # the row's values compacted
     return means, counts
 
@@ -208,10 +225,7 @@ def _summarize(
     """
     columns = tuple(sorted(columns, key=lambda c: c.machine.machine_id))
     machines = [c.machine for c in columns]
-    block = np.concatenate((
-        np.broadcast_to([m.lift_and_shift for m in machines], (len(targets), 1, len(machines))),
-        np.stack([c.scenario_values() for c in columns], axis=-1),
-    ), axis=1).reshape(-1, len(machines))  # (targets × SCENARIO_NAMES, machines)
+    block = _block(columns, targets)
 
     machine_means, counts = _row_means(block)
     groups = _group(range(len(machines)), _datacenters(machines)).values()
@@ -222,10 +236,8 @@ def _summarize(
          "datacenter_mean": None if d != d else d, "machines": n}
         for (t, s), m, d, n in zip(cells, machine_means.tolist(), dc_means.tolist(), counts.tolist())
     )
-    ordered = np.sort(block, axis=1).tolist()  # NaN sorts last
-    cdfs = {(s, t): _cdf_points(row[:n]) for (t, s), row, n in zip(cells, ordered, counts.tolist()) if n}
     return FleetReport(baseline, targets, columns, tuple(exclusions), means, tuple(group_by_size(machines)),
-                       tuple(utilization_by_release(machines, catalog)), cdfs)
+                       tuple(utilization_by_release(machines, catalog)))
 
 
 def aggregate(

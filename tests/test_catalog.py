@@ -102,6 +102,17 @@ class TestLoadCatalog:
             ]))
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("row", [
+        "beta,inf,100,2014-05-01,8,false",
+        "beta,1e400,100,2014-05-01,8,false",
+        "beta,500,inf,2014-05-01,8,false",
+        "beta,500,1e400,2014-05-01,8,false",
+    ])
+    def test_non_finite_score_or_tdp_names_line(self, row):
+        message = "line 3: beta: (spec_score|tdp_watts) must be finite and positive, got inf"
+        with pytest.raises(CatalogError, match=message):
+            load_catalog(make_csv(["alpha,300,95,2012-03-01,8,true", row]))
+
     def test_duplicate_model_rejected(self):
         with pytest.raises(CatalogError, match="duplicate"):
             load_catalog(make_csv([

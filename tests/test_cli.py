@@ -459,6 +459,19 @@ class TestCatalog:
         assert code == 0
         assert out.strip() == "1"
 
+    @pytest.mark.parametrize("rows, message", [
+        (["old-box,300,95,2010-01-01,4,false", "cloud-box,50,inf,2016-01-01,16,true"],
+         "line 3: cloud-box: tdp_watts must be finite and positive, got inf"),
+        (["old-box,inf,95,2010-01-01,4,false", "cloud-box,50,10,2016-01-01,16,true"],
+         "line 2: old-box: spec_score must be finite and positive, got inf"),
+    ])
+    def test_ce_with_non_finite_catalog_value_exits_2(self, capsys, tmp_path, rows, message):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("\n".join(["model_name,spec_score,tdp_watts,release_date,cores,cloud", *rows, ""]))
+        code, out, err = run(capsys, "catalog", "ce", "old-box", "--catalog", str(catalog))
+        assert (code, out) == (2, "")
+        assert error_payload(err) == {"type": "CatalogError", "message": message}
+
     def test_env_var_supplies_catalog(self, capsys, data_dir, monkeypatch):
         monkeypatch.setenv("MIGRENT_CATALOG", str(data_dir / "catalog.csv"))
         code, out, _ = run(capsys, "catalog", "list")

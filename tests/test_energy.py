@@ -183,6 +183,13 @@ class TestPowerSamples:
         with pytest.raises(MigrentError, match="header"):
             load_power_samples(io.StringIO("a,b\n1,2\n"))
 
+    @pytest.mark.parametrize("power", ["inf", "1e400", "nan"])
+    def test_load_rejects_non_finite_power(self, power):
+        stream = io.StringIO(f"utilization_percent,relative_power\n0,0.33\n50,{power}\n100,1.0\n")
+        with pytest.raises(MigrentError, match="line 3.*relative_power must be finite and positive") as excinfo:
+            load_power_samples(stream)
+        assert excinfo.value.line == 3
+
     def test_load_names_bad_line(self):
         stream = io.StringIO("utilization_percent,relative_power\n0,0.33\n150,0.5\n")
         with pytest.raises(MigrentError, match="line 3") as excinfo:

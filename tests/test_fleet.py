@@ -41,7 +41,7 @@ from migrent import (
     write_trace,
 )
 
-from migrent.report import dumps_stable
+from migrent.report import dumps_stable, format_float
 
 from conftest import ODD_FLOATS, ODD_TEXT, POSIX_2016_06_01, make_trace
 
@@ -214,6 +214,17 @@ class TestAggregate:
         fleet = aggregate(reports, [], [0.8], small_catalog)
         assert [r.machine_id for r in fleet.reports] == ["m1", "m2"]
 
+    def test_cdfs_are_built_only_when_read(self, fleet_dir, model):
+        from migrent import bundled_catalog
+
+        entries = load_manifest(fleet_dir / "manifest.csv")
+        fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.5, 0.8])
+        assert "cdfs" not in vars(fleet)
+        fleet.write_json(io.StringIO())
+        assert "cdfs" not in vars(fleet)
+        assert len(fleet.cdfs) == 10
+        assert "cdfs" in vars(fleet)
+
     def test_cdf_per_scenario_and_target(self, small_catalog):
         reports = [fake_report("m1", "dc-a", ls=0.3), fake_report("m2", "dc-a", ls=0.7)]
         fleet = aggregate(reports, [], [0.8], small_catalog)
@@ -342,6 +353,16 @@ class TestAggregateDifferential:
         assert sum(r.idle_machine for r in reports) == len(self.IDLE)
         targets = [0.8, 0.5]  # the reverse of the reports' rows
         self.check(aggregate(reports, [], targets, small_catalog, baseline), reports, targets, small_catalog)
+
+    def test_large_datacenters_match_plain_scan_exactly(self, small_catalog):
+        # numpy sums a row of 8 or more in 8 partial sums, so this catches a mean taken over a column-major copy
+        rng = np.random.default_rng(5)
+        reports = [
+            fake_report(f"m{i:02d}", f"dc-{i % 2}", ls=ls, static=None if static < 0.2 else static, ideal=ideal,
+                        hourly=hourly)
+            for i, (ls, static, ideal, hourly) in enumerate(rng.uniform(0.0, 1.0, (40, 4)).tolist())
+        ]
+        self.check(aggregate(reports, [], [0.8], small_catalog), reports, [0.8], small_catalog)
 
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_manifest_columns_match_plain_scan_exactly(self, small_catalog, baseline, tmp_path):
@@ -613,6 +634,23 @@ class TestAnalyzeManifest:
         assert len(fleet.reports) == rows
 
 
+def check_cdf_files(fleet, out, written):
+    """Each cell with a value has a file holding ``cdf`` of those values, read from ``fleet.reports``."""
+    expected = {}
+    for target in fleet.targets:
+        for scenario in SCENARIO_NAMES:
+            values = [v for r in fleet.reports if (v := r.scenario_value(scenario, target)) is not None]
+            if values:
+                lines = [f"{format_float(v)},{format_float(p)}\n" for v, p in cdf(values)]
+                expected[f"cdf_{scenario}_{target:g}.csv"] = "value,cumulative_probability\n" + "".join(lines)
+    tables = {"mean_table.csv", "size_bins.csv", "util_by_release.csv"}
+    assert {p.name for p in written} == tables | set(expected)
+    assert {p.name for p in out.iterdir()} == tables | set(expected)
+    for name, text in expected.items():
+        assert (out / name).read_text() == text, name
+    return expected
+
+
 class TestWriteCsvReports:
     def test_file_set_and_contents(self, fleet_dir, model, tmp_path):
         from migrent import bundled_catalog
@@ -621,27 +659,23 @@ class TestWriteCsvReports:
         fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.5, 0.8])
         out = tmp_path / "csv"
         written = write_csv_reports(fleet, out)
-        names = {p.name for p in written}
-        expected_cdfs = {
-            f"cdf_{scenario}_{target:g}.csv"
-            for (scenario, target) in fleet.cdfs
-        }
-        assert names == {"mean_table.csv", "size_bins.csv", "util_by_release.csv"} | expected_cdfs
-        for p in written:
-            assert p.exists()
+        assert len(check_cdf_files(fleet, out, written)) == 10
 
         with (out / "mean_table.csv").open() as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["target", "scenario", "machine_mean", "datacenter_mean", "machines"]
         assert len(rows) == 1 + len(fleet.means)
 
-        scenario, target = sorted(fleet.cdfs)[0]
-        with (out / f"cdf_{scenario}_{target:g}.csv").open() as f:
-            cdf_rows = list(csv.reader(f))
-        assert cdf_rows[0] == ["value", "cumulative_probability"]
-        expected = fleet.cdfs[(scenario, target)]
-        assert len(cdf_rows) == 1 + len(expected)
-        assert float(cdf_rows[-1][1]) == 1.0
+    def test_cdf_files_skip_undefined_values(self, small_catalog, tmp_path):
+        reports = [
+            fake_report("m1", "dc-a", ls=0.3, static=0.6, hourly=None),
+            fake_report("m2", "dc-b", ls=0.7, static=None, ideal=0.0, hourly=None, peak=0.0),  # idle
+            fake_report("m3", "dc-a", ls=0.3, static=0.5, hourly=None),
+        ]
+        fleet = aggregate(reports, [], [0.8], small_catalog)
+        expected = check_cdf_files(fleet, tmp_path, write_csv_reports(fleet, tmp_path))
+        assert "cdf_autoscale_hourly_0.8.csv" not in expected  # no machine has a value
+        assert expected["cdf_static_resize_0.8.csv"] == "value,cumulative_probability\n0.5,0.5\n0.6,1\n"
 
     def test_table_headers_are_the_row_keys(self, small_catalog, tmp_path):
         fleet = aggregate([fake_report("m1", "dc-a", ls=0.5)], [], [0.8], small_catalog)
