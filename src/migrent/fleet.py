@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,9 +127,7 @@ class FleetReport:
     @cached_property
     def cdfs(self) -> dict[tuple[str, float], list[tuple[float, float]]]:
         """The ``cdf`` of each (scenario, target) cell's values; a cell no machine has a value for has none."""
-        cells = [(scenario, target) for target in self.targets for scenario in SCENARIO_NAMES]
-        rows = (row[~np.isnan(row)] for row in _block(self.columns, self.targets))
-        return {cell: cdf(values) for cell, values in zip(cells, rows) if values.size}
+        return dict(_cell_cdfs(self))
 
     def _head(self) -> dict:
         return {
@@ -163,6 +161,16 @@ def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     data = data.tolist()
     n = len(data)
     return [(v, (i + 1) / n) for i, v in enumerate(data) if i + 1 == n or data[i + 1] != v]
+
+
+def _cell_cdfs(report: FleetReport) -> Iterator[tuple[tuple[str, float], list[tuple[float, float]]]]:
+    """Each (scenario, target) cell with a value and its ``cdf``, by scenario then target, one at a time."""
+    block = _block(report.columns, report.targets)
+    cells = [(scenario, target) for target in report.targets for scenario in SCENARIO_NAMES]
+    for row, cell in sorted(enumerate(cells), key=lambda item: item[1]):
+        values = block[row][~np.isnan(block[row])]
+        if values.size:
+            yield cell, cdf(values)
 
 
 def _group(values: Iterable, keys: Iterable) -> dict[object, list]:
@@ -411,7 +419,7 @@ def write_csv_reports(report: FleetReport, out_dir) -> list[Path]:
         write_table(path, rows[0].keys(), ([_fmt(v) for v in row.values()] for row in rows))
         written.append(path)
 
-    for (scenario, target), points in sorted(report.cdfs.items()):
+    for (scenario, target), points in _cell_cdfs(report):
         path = out / f"cdf_{scenario}_{target:g}.csv"
         write_table(path, ("value", "cumulative_probability"), ([_fmt(v) for v in p] for p in points))
         written.append(path)

@@ -159,28 +159,41 @@ def _parse_rows(source, machine_id: str) -> UtilizationTrace:
     return UtilizationTrace(machine_id, np.array(times), np.array(values))
 
 
-# write_trace's form, which parse_trace reads a column at a time: this header,
-# then rows of "YYYY-MM-DDTHH:MM:SSZ," (the head; '0' in the template marks a
-# digit) and a percent of digits and '.'.
+# write_trace's form, which parse_trace reads by digit arithmetic: this
+# header, then rows of "YYYY-MM-DDTHH:MM:SSZ," (the head; '0' in the template
+# marks a digit) and a percent of digits and at most one '.'.
 _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\n"
 _HEAD_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
-_STAMP_WIDTH = 19
+# the most a head byte may exceed the template's: 9 at a digit, 0 at a literal
+_HEAD_LIMITS = np.where(_HEAD_TEMPLATE == ord("0"), 9, 0).astype(np.uint8)[:, None]
+_CLOCK_LIMITS = np.array([[24], [60], [60]], dtype=np.uint8)  # hour, minute, second
+# year, month and day from the date's ten head bytes less the template
+_DATE_PLACES = np.array([
+    [1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 10, 1],
+])
+# days in each month of a common year; months 0 and 13 to 99 have none
+_MONTH_DAYS = np.zeros(100, dtype=np.int64)
+_MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 # write_trace emits at most 8 ("100.0000"); the bound keeps one long field
 # from sizing the rows x width matrix the percents are gathered into
 _MAX_PERCENT_WIDTH = 32
-
-
-def _is_digit(column: np.ndarray) -> np.ndarray:
-    return column - np.uint8(48) <= 9  # bytes below '0' wrap past 9
+# a mantissa of at most this many digits and its power of ten are exact
+# doubles, so their correctly rounded quotient is float() of the text
+_EXACT_DIGITS = 15
+_POWERS_OF_TEN = 10.0 ** np.arange(_EXACT_DIGITS + 1)
+_DOT = np.uint8((ord(".") - ord("0")) % 256)  # '.' less '0', wrapped as uint8 wraps
 
 
 def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(times, values) of a file in write_trace's exact form, else None.
 
-    Works on byte columns gathered with ``np.take``, so no Python object is
-    made per row. Returns None for anything the row loop might read
-    differently or reject: other headers, layouts or line endings, blank
-    rows, fewer than two rows, year 0000, impossible dates, percents
+    Gathers each row's head and percent field with one fancy index each and
+    computes seconds and percents from the digits, so no Python object or
+    string is made per row. Returns None for anything the row loop might
+    read differently or reject: other headers, layouts or line endings,
+    blank rows, fewer than two rows, year 0000, impossible dates, percents
     outside [0, 100] and times that do not increase.
     """
     if not data.startswith(_HEADER_LINE.encode()) or not data.endswith(b"\n"):
@@ -188,50 +201,81 @@ def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == 10)
     widths = np.diff(newlines) - (_HEAD_TEMPLATE.size + 1)  # of the percent fields
-    starts = newlines[:-1]
-    starts += 1  # a view: row starts overwrite the newlines, which are not needed again
-    if starts.size < 2 or not 1 <= widths.min() <= widths.max() <= _MAX_PERCENT_WIDTH:
+    if widths.size < 2 or not 1 <= widths.min() <= widths.max() <= _MAX_PERCENT_WIDTH:
         return None
-    seconds = _gather_seconds(buf, starts)
-    if seconds is None or not np.all(np.diff(seconds) > 0):
+    seconds = _stamp_seconds(_gather(buf, newlines[:-1] + 1, _HEAD_TEMPLATE.size))
+    if seconds is None or not (seconds[1:] > seconds[:-1]).all():
         return None
-    values = _gather_percents(buf, starts + _HEAD_TEMPLATE.size, widths)
-    if values is None or not (np.all(values >= 0.0) and np.all(values <= 100.0)):
+    width = int(widths.max())
+    values = _percents(_gather(buf, newlines[1:] - width, width), widths)
+    if values is None or not 0.0 <= values.min() <= values.max() <= 100.0:
         return None
     values /= 100.0
     return seconds.astype(np.float64), values
 
 
-def _gather_seconds(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
-    """POSIX seconds of the row heads at ``starts``, or None if one is off-form."""
-    stamps = np.empty((starts.size, _STAMP_WIDTH), dtype=np.uint8)
-    for j, expected in enumerate(_HEAD_TEMPLATE):
-        column = np.take(buf, starts + j)
-        if not (_is_digit(column) if expected == 48 else column == expected).all():
-            return None
-        if j < _STAMP_WIDTH:
-            stamps[:, j] = column
-    if (stamps[:, :4] == 48).all(axis=1).any():  # year 0000
-        return None
-    try:
-        return stamps.view(f"S{_STAMP_WIDTH}").ravel().astype("datetime64[s]").view(np.int64)
-    except ValueError:  # Feb 30, hour 24, second 60, ...
-        return None
+def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each offset, a row each."""
+    records = np.ndarray((buf.size - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
+    return records[offsets].view(np.uint8).reshape(offsets.size, width)
 
 
-def _gather_percents(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
-    """The digits-and-dots fields at ``starts`` as floats, or None."""
-    fields = np.empty((starts.size, int(widths.max())), dtype=np.uint8)
-    for j in range(fields.shape[1]):
-        column = np.take(buf, starts + j, mode="clip")
-        inside = j < widths
-        if not (~inside | _is_digit(column) | (column == 46)).all():
-            return None
-        fields[:, j] = np.where(inside, column, 32)  # space-pad the short fields
-    try:
-        return fields.view(f"S{fields.shape[1]}").ravel().astype(np.float64)
-    except ValueError:  # "1.2.3", "."
+def _stamp_seconds(heads: np.ndarray) -> np.ndarray | None:
+    """POSIX seconds of the rows' heads, or None if one is off-form or no real time."""
+    digits = np.ascontiguousarray(heads.T)  # a row per head byte
+    digits -= _HEAD_TEMPLATE[:, None]
+    if (digits > _HEAD_LIMITS).any():  # bytes below '0' wrap past 9
         return None
+    clock = digits[[11, 14, 17]] * np.uint8(10) + digits[[12, 15, 18]]
+    if (clock >= _CLOCK_LIMITS).any():
+        return None
+    hour, minute, second = clock.astype(np.int32)
+    # a date is worked out once, at the first row of each run that shares it
+    firsts = np.ones(heads.shape[0], dtype=bool)
+    np.any(digits[:10, 1:] != digits[:10, :-1], axis=0, out=firsts[1:])
+    firsts = np.flatnonzero(firsts)
+    year, month, day = _DATE_PLACES @ digits[:10, firsts]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if np.any((year < 1) | (day < 1) | (day > _MONTH_DAYS[month] + (leap & (month == 2)))):
+        return None
+    # Hinnant's days_from_civil, with years starting on March 1
+    era, year_of_era = np.divmod(year - (month <= 2), 400)
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    days = era * 146_097 + day_of_era - 719_468
+    day_starts = np.repeat(days * 86_400, np.diff(firsts, append=heads.shape[0]))
+    return day_starts + (hour * 60 + minute) * 60 + second
+
+
+def _percents(fields: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
+    """The percents right-aligned in ``fields``, each ``widths`` bytes, or None.
+
+    A field is digits with at most one '.' and at least one digit.
+    """
+    width = fields.shape[1]
+    columns = np.arange(width, dtype=np.uint8)[:, None]
+    digits = np.ascontiguousarray(fields.T)  # a row per byte of the fields
+    digits -= np.uint8(ord("0"))
+    digits *= columns >= width - widths  # the bytes before a field read as 0
+    dots = digits == _DOT
+    if not (dots | (digits <= 9)).all():
+        return None
+    dot_counts = dots.sum(axis=0, dtype=np.uint8)
+    digit_counts = widths - dot_counts
+    if dot_counts.max() > 1 or digit_counts.min() < 1:
+        return None
+    if digit_counts.max() > _EXACT_DIGITS:  # numpy's string cast of the text, leading zeros and all
+        text = np.ascontiguousarray((digits + np.uint8(ord("0"))).T)
+        return text.view(f"S{width}").ravel().astype(np.float64)
+    fraction_digits = (dots * (np.uint8(width - 1) - columns)).max(axis=0)
+    digits *= ~dots
+    # Horner's rule down the columns; a row gains no digit at its '.'
+    mantissa = np.zeros(fields.shape[0])
+    for column, dot, has_dot in zip(digits, dots, dots.any(axis=1).tolist()):
+        mantissa *= (np.uint8(10) - np.uint8(9) * dot) if has_dot else 10.0
+        mantissa += column
+    mantissa /= np.take(_POWERS_OF_TEN, fraction_digits)
+    return mantissa
 
 
 def write_trace(trace: UtilizationTrace, dest) -> None:

@@ -666,6 +666,14 @@ class TestWriteCsvReports:
         assert rows[0] == ["target", "scenario", "machine_mean", "datacenter_mean", "machines"]
         assert len(rows) == 1 + len(fleet.means)
 
+    def test_writing_keeps_no_cdf_on_the_report(self, fleet_dir, model, tmp_path):
+        from migrent import bundled_catalog
+
+        entries = load_manifest(fleet_dir / "manifest.csv")
+        fleet = analyze_manifest(entries, fleet_dir, bundled_catalog(), model, [0.5, 0.8])
+        check_cdf_files(fleet, tmp_path, write_csv_reports(fleet, tmp_path))
+        assert "cdfs" not in vars(fleet)
+
     def test_cdf_files_skip_undefined_values(self, small_catalog, tmp_path):
         reports = [
             fake_report("m1", "dc-a", ls=0.3, static=0.6, hourly=None),

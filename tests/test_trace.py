@@ -145,7 +145,7 @@ def trace_files(draw):
     stamps = [(_EPOCH + dt.timedelta(seconds=s)).isoformat() + "Z" for s in seconds]
     percents = [
         f"{v:.{d}f}" for v, d in draw(st.lists(
-            st.tuples(st.floats(0.0, 100.0), st.integers(0, 8)), min_size=n, max_size=n))
+            st.tuples(st.floats(0.0, 100.0), st.integers(0, 20)), min_size=n, max_size=n))
     ]
     kind = draw(st.sampled_from(list(_ROW_FORMS)))
     where = n - 1 if kind == "no final newline" else draw(st.integers(0, n - 1))
@@ -187,6 +187,52 @@ class TestColumnParseMatchesRowLoop:
         path.write_bytes(data)
         assert _parse_canonical(data) is None
         assert _outcome(lambda: parse_trace(path, "m")) == _outcome(lambda: _parse_rows(data, "m"))
+
+    @pytest.mark.parametrize("rows, canonical", [
+        (["1900-02-28T00:00:00Z,5", "1900-02-29T00:00:00Z,6"], False),
+        (["2015-02-28T00:00:00Z,5", "2015-02-29T00:00:00Z,6"], False),
+        (["2000-02-28T00:00:00Z,5", "2000-02-29T00:00:00Z,6"], True),
+        (["2016-02-29T00:00:00Z,5", "2016-02-29T00:00:30Z,6"], True),
+        (["2016-06-00T00:00:00Z,5", "2016-06-01T00:00:30Z,6"], False),
+        (["2016-00-01T00:00:00Z,5", "2016-06-01T00:00:30Z,6"], False),
+        (["2016-06-01T00:60:00Z,5", "2016-06-01T01:00:30Z,6"], False),
+        (["0001-01-01T00:00:00Z,5", "0001-01-01T00:00:30Z,6"], True),
+        (["9999-12-31T23:59:30Z,5", "9999-12-31T23:59:59Z,6"], True),
+        (["2016-06-01T23:59:30Z,5", "2016-06-02T00:00:00Z,6"], True),
+        (["2016-06-01T00:00:00Z,5.", "2016-06-01T00:00:30Z,.5"], True),
+        (["2016-06-01T00:00:00Z,007", "2016-06-01T00:00:30Z,100."], True),
+        (["2016-06-01T00:00:00Z,0", "2016-06-01T00:00:30Z,100"], True),
+        (["2016-06-01T00:00:00Z,12.3456789012345", "2016-06-01T00:00:30Z,5"], True),
+        # where a mantissa past 2**53 would round twice: only the string cast gives float()
+        (["2016-06-01T00:00:00Z,98.35806966599173", "2016-06-01T00:00:30Z,5"], True),
+        (["2016-06-01T00:00:00Z,95.748906828836075", "2016-06-01T00:00:30Z,5"], True),
+        (["2016-06-01T00:00:00Z,0.1000000000000001", "2016-06-01T00:00:30Z,5"], True),
+        (["2016-06-01T00:00:00Z,0000000000000000000000099.999999", "2016-06-01T00:00:30Z,5"], True),
+        (["2016-06-01T00:00:00Z,00000000000000000000000099.999999", "2016-06-01T00:00:30Z,5"], False),
+    ], ids=[
+        "feb 29 1900", "feb 29 2015", "feb 29 2000", "feb 29 2016", "day 00", "month 00", "minute 60",
+        "year 1", "year 9999", "date change", "5. and .5", "007 and 100.", "0 and 100",
+        "15 digits", "16 digits", "17 digits", "16 decimals", "32 bytes", "33 bytes",
+    ])
+    def test_edge_cases_match_the_row_loop(self, rows, canonical, tmp_path):
+        data = ("timestamp,cpu_utilization_percent\n" + "".join(f"{r}\n" for r in rows)).encode()
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert (_parse_canonical(data) is not None) == canonical
+        assert _outcome(lambda: parse_trace(path, "m")) == _outcome(lambda: _parse_rows(data, "m"))
+
+    def test_memory_is_bounded_by_the_file(self, tmp_path):
+        n = 23_040  # 8 days at 30 s
+        path = tmp_path / "t.csv"
+        write_trace(make_trace(POSIX_2016_06_01 + 30.0 * np.arange(n), np.random.default_rng(8).random(n)), path)
+        tracemalloc.start()
+        try:
+            parse_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _parse_canonical(path.read_bytes()) is not None
+        assert peak <= 6 * path.stat().st_size
 
 
 class TestWriteMatchesFormatTimestamp:
