@@ -286,6 +286,8 @@ def group_by_size(reports: Sequence[ScenarioReport], bin_count: int = DEFAULT_SI
     dc_rows.sort(key=lambda row: (row[0], row[1]))
 
     n = len(dc_rows)
+    if n == 0:  # every bin would be empty
+        return []
     bins = min(bin_count, n)
     base, remainder = divmod(n, bins)
     out = []

@@ -161,28 +161,13 @@ def _parse_rows(source, machine_id: str) -> UtilizationTrace:
 
 # write_trace's form, which parse_trace reads by digit arithmetic: this
 # header, then rows of "YYYY-MM-DDTHH:MM:SSZ," (the head; '0' in the template
-# marks a digit) and a percent of digits and at most one '.'.
+# marks a digit) and a percent of 1 to 3 digits, '.' and 4 decimals.
 _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\n"
 _HEAD_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
 # the most a head byte may exceed the template's: 9 at a digit, 0 at a literal
 _HEAD_LIMITS = np.where(_HEAD_TEMPLATE == ord("0"), 9, 0).astype(np.uint8)[:, None]
 _CLOCK_LIMITS = np.array([[24], [60], [60]], dtype=np.uint8)  # hour, minute, second
-# year, month and day from the date's ten head bytes less the template
-_DATE_PLACES = np.array([
-    [1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 10, 1],
-])
-# days in each month of a common year; months 0 and 13 to 99 have none
-_MONTH_DAYS = np.zeros(100, dtype=np.int64)
-_MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
-# write_trace emits at most 8 ("100.0000"); the bound keeps one long field
-# from sizing the rows x width matrix the percents are gathered into
-_MAX_PERCENT_WIDTH = 32
-# a mantissa of at most this many digits and its power of ten are exact
-# doubles, so their correctly rounded quotient is float() of the text
-_EXACT_DIGITS = 15
-_POWERS_OF_TEN = 10.0 ** np.arange(_EXACT_DIGITS + 1)
+_PERCENT_WIDTHS = (6, 8)  # "0.0000" to "100.0000"
 _DOT = np.uint8((ord(".") - ord("0")) % 256)  # '.' less '0', wrapped as uint8 wraps
 
 
@@ -191,24 +176,24 @@ def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
     Gathers each row's head and percent field with one fancy index each and
     computes seconds and percents from the digits, so no Python object or
-    string is made per row. Returns None for anything the row loop might
-    read differently or reject: other headers, layouts or line endings,
-    blank rows, fewer than two rows, year 0000, impossible dates, percents
-    outside [0, 100] and times that do not increase.
+    string is made per row. Returns None for anything else, which the row
+    loop reads: other headers, layouts, percent forms or line endings, blank
+    rows, fewer than two rows, year 0000, impossible dates, percents over 100
+    and times that do not increase.
     """
     if not data.startswith(_HEADER_LINE.encode()) or not data.endswith(b"\n"):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == 10)
     widths = np.diff(newlines) - (_HEAD_TEMPLATE.size + 1)  # of the percent fields
-    if widths.size < 2 or not 1 <= widths.min() <= widths.max() <= _MAX_PERCENT_WIDTH:
+    least, most = _PERCENT_WIDTHS
+    if widths.size < 2 or not least <= widths.min() <= widths.max() <= most:
         return None
     seconds = _stamp_seconds(_gather(buf, newlines[:-1] + 1, _HEAD_TEMPLATE.size))
     if seconds is None or not (seconds[1:] > seconds[:-1]).all():
         return None
-    width = int(widths.max())
-    values = _percents(_gather(buf, newlines[1:] - width, width), widths)
-    if values is None or not 0.0 <= values.min() <= values.max() <= 100.0:
+    values = _percents(_gather(buf, newlines[1:] - most, most), widths)
+    if values is None or not values.max() <= 100.0:
         return None
     values /= 100.0
     return seconds.astype(np.float64), values
@@ -234,15 +219,12 @@ def _stamp_seconds(heads: np.ndarray) -> np.ndarray | None:
     firsts = np.ones(heads.shape[0], dtype=bool)
     np.any(digits[:10, 1:] != digits[:10, :-1], axis=0, out=firsts[1:])
     firsts = np.flatnonzero(firsts)
-    year, month, day = _DATE_PLACES @ digits[:10, firsts]
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if np.any((year < 1) | (day < 1) | (day > _MONTH_DAYS[month] + (leap & (month == 2)))):
+    dates = str(heads[firsts, :10].tobytes(), "ascii")
+    try:
+        ordinals = [dt.date.fromisoformat(dates[i : i + 10]).toordinal() for i in range(0, len(dates), 10)]
+    except ValueError:  # year 0000 or a day its month lacks
         return None
-    # Hinnant's days_from_civil, with years starting on March 1
-    era, year_of_era = np.divmod(year - (month <= 2), 400)
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
-    days = era * 146_097 + day_of_era - 719_468
+    days = np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL
     day_starts = np.repeat(days * 86_400, np.diff(firsts, append=heads.shape[0]))
     return day_starts + (hour * 60 + minute) * 60 + second
 
@@ -250,31 +232,24 @@ def _stamp_seconds(heads: np.ndarray) -> np.ndarray | None:
 def _percents(fields: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
     """The percents right-aligned in ``fields``, each ``widths`` bytes, or None.
 
-    A field is digits with at most one '.' and at least one digit.
+    A field is 1 to 3 digits, '.' and 4 digits, so its '.' is at byte 3.
     """
-    width = fields.shape[1]
-    columns = np.arange(width, dtype=np.uint8)[:, None]
     digits = np.ascontiguousarray(fields.T)  # a row per byte of the fields
     digits -= np.uint8(ord("0"))
-    digits *= columns >= width - widths  # the bytes before a field read as 0
-    dots = digits == _DOT
-    if not (dots | (digits <= 9)).all():
+    width = fields.shape[1]
+    digits *= np.arange(width)[:, None] >= width - widths  # the bytes before a field read as 0
+    if not (digits[3] == _DOT).all():
         return None
-    dot_counts = dots.sum(axis=0, dtype=np.uint8)
-    digit_counts = widths - dot_counts
-    if dot_counts.max() > 1 or digit_counts.min() < 1:
+    digits[3] = 0
+    if (digits > 9).any():
         return None
-    if digit_counts.max() > _EXACT_DIGITS:  # numpy's string cast of the text, leading zeros and all
-        text = np.ascontiguousarray((digits + np.uint8(ord("0"))).T)
-        return text.view(f"S{width}").ravel().astype(np.float64)
-    fraction_digits = (dots * (np.uint8(width - 1) - columns)).max(axis=0)
-    digits *= ~dots
-    # Horner's rule down the columns; a row gains no digit at its '.'
+    # Horner's rule over the seven digit columns; a mantissa of at most 7
+    # digits and 1e4 are exact doubles, so their quotient is float() of the text
     mantissa = np.zeros(fields.shape[0])
-    for column, dot, has_dot in zip(digits, dots, dots.any(axis=1).tolist()):
-        mantissa *= (np.uint8(10) - np.uint8(9) * dot) if has_dot else 10.0
+    for column in digits[[0, 1, 2, 4, 5, 6, 7]]:
+        mantissa *= 10.0
         mantissa += column
-    mantissa /= np.take(_POWERS_OF_TEN, fraction_digits)
+    mantissa /= 1e4
     return mantissa
 
 

@@ -488,6 +488,9 @@ class TestGroupBySize:
         with pytest.raises(ValueError):
             group_by_size(self.make_dcs([1]), 0)
 
+    def test_no_machines_no_bins(self):
+        assert group_by_size([], 7) == []
+
 
 class TestUtilizationByRelease:
     def test_percentiles_by_year(self, small_catalog):

@@ -128,8 +128,12 @@ _ROW_FORMS = {
     "hour 24": lambda stamp, pct: f"{stamp[:11]}24{stamp[13:]},{pct}\n",
     "nan": lambda stamp, pct: f"{stamp},nan\n",
     "exponent": lambda stamp, pct: f"{stamp},1e2\n",
-    "leading space": lambda stamp, pct: f"{stamp}, 5\n",
-    "over 100": lambda stamp, pct: f"{stamp},101\n",
+    "leading space": lambda stamp, pct: f"{stamp}, 5.0000\n",
+    "over 100": lambda stamp, pct: f"{stamp},100.0001\n",
+    "no decimals": lambda stamp, pct: f"{stamp},{float(pct):.0f}\n",
+    "two decimals": lambda stamp, pct: f"{stamp},{float(pct):.2f}\n",
+    "17 digits": lambda stamp, pct: f"{stamp},{float(pct):#.17g}\n",  # '#' keeps the trailing zeros
+    "no point": lambda stamp, pct: f"{stamp},{pct.replace('.', '')}\n",
     "third field": lambda stamp, pct: f"{stamp},{pct},x\n",
     "no final newline": lambda stamp, pct: f"{stamp},{pct}",
 }
@@ -143,10 +147,7 @@ def trace_files(draw):
     gaps = draw(st.lists(st.integers(1, 10**6), min_size=n - 1, max_size=n - 1))
     seconds = np.cumsum([start, *gaps]).tolist()
     stamps = [(_EPOCH + dt.timedelta(seconds=s)).isoformat() + "Z" for s in seconds]
-    percents = [
-        f"{v:.{d}f}" for v, d in draw(st.lists(
-            st.tuples(st.floats(0.0, 100.0), st.integers(0, 20)), min_size=n, max_size=n))
-    ]
+    percents = [f"{v:.4f}" for v in draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))]
     kind = draw(st.sampled_from(list(_ROW_FORMS)))
     where = n - 1 if kind == "no final newline" else draw(st.integers(0, n - 1))
     rows = [_ROW_FORMS[kind if i == where else None](s, p) for i, (s, p) in enumerate(zip(stamps, percents))]
@@ -172,14 +173,14 @@ class TestColumnParseMatchesRowLoop:
         assert _outcome(lambda: parse_trace(path, "m")) == _outcome(lambda: _parse_rows(data, "m"))
 
     @pytest.mark.parametrize("rows", [
-        ["2016-06-01T00:00:00Z,5", "2016-06-01T00:00:00Z,6"],
-        ["2016-06-01T00:00:30Z,5", "2016-06-01T00:00:00Z,6"],
-        ["2016-06-01T00:00:00Z,5"],
-        ["2016-06-01T00:00:00Z,1.2.3", "2016-06-01T00:00:30Z,6"],
-        ["2016-06-01T00:00:00Z,.", "2016-06-01T00:00:30Z,6"],
-        ["2016-13-01T00:00:00Z,5", "2016-06-01T00:00:30Z,6"],
-        ["2016-06-01T00:00:60Z,5", "2016-06-01T00:01:30Z,6"],
-        ["2016-06-01T00:00:00Z," + "0" * 200 + "5", "2016-06-01T00:00:30Z,6"],
+        ["2016-06-01T00:00:00Z,5.0000", "2016-06-01T00:00:00Z,6.0000"],
+        ["2016-06-01T00:00:30Z,5.0000", "2016-06-01T00:00:00Z,6.0000"],
+        ["2016-06-01T00:00:00Z,5.0000"],
+        ["2016-06-01T00:00:00Z,1.2.3", "2016-06-01T00:00:30Z,6.0000"],
+        ["2016-06-01T00:00:00Z,.", "2016-06-01T00:00:30Z,6.0000"],
+        ["2016-13-01T00:00:00Z,5.0000", "2016-06-01T00:00:30Z,6.0000"],
+        ["2016-06-01T00:00:60Z,5.0000", "2016-06-01T00:01:30Z,6.0000"],
+        ["2016-06-01T00:00:00Z," + "0" * 200 + "5", "2016-06-01T00:00:30Z,6.0000"],
     ])
     def test_off_form_files_take_the_row_loop(self, rows, tmp_path):
         data = ("timestamp,cpu_utilization_percent\n" + "".join(f"{r}\n" for r in rows)).encode()
@@ -189,30 +190,38 @@ class TestColumnParseMatchesRowLoop:
         assert _outcome(lambda: parse_trace(path, "m")) == _outcome(lambda: _parse_rows(data, "m"))
 
     @pytest.mark.parametrize("rows, canonical", [
-        (["1900-02-28T00:00:00Z,5", "1900-02-29T00:00:00Z,6"], False),
-        (["2015-02-28T00:00:00Z,5", "2015-02-29T00:00:00Z,6"], False),
-        (["2000-02-28T00:00:00Z,5", "2000-02-29T00:00:00Z,6"], True),
-        (["2016-02-29T00:00:00Z,5", "2016-02-29T00:00:30Z,6"], True),
-        (["2016-06-00T00:00:00Z,5", "2016-06-01T00:00:30Z,6"], False),
-        (["2016-00-01T00:00:00Z,5", "2016-06-01T00:00:30Z,6"], False),
-        (["2016-06-01T00:60:00Z,5", "2016-06-01T01:00:30Z,6"], False),
-        (["0001-01-01T00:00:00Z,5", "0001-01-01T00:00:30Z,6"], True),
-        (["9999-12-31T23:59:30Z,5", "9999-12-31T23:59:59Z,6"], True),
-        (["2016-06-01T23:59:30Z,5", "2016-06-02T00:00:00Z,6"], True),
-        (["2016-06-01T00:00:00Z,5.", "2016-06-01T00:00:30Z,.5"], True),
-        (["2016-06-01T00:00:00Z,007", "2016-06-01T00:00:30Z,100."], True),
-        (["2016-06-01T00:00:00Z,0", "2016-06-01T00:00:30Z,100"], True),
-        (["2016-06-01T00:00:00Z,12.3456789012345", "2016-06-01T00:00:30Z,5"], True),
-        # where a mantissa past 2**53 would round twice: only the string cast gives float()
-        (["2016-06-01T00:00:00Z,98.35806966599173", "2016-06-01T00:00:30Z,5"], True),
-        (["2016-06-01T00:00:00Z,95.748906828836075", "2016-06-01T00:00:30Z,5"], True),
-        (["2016-06-01T00:00:00Z,0.1000000000000001", "2016-06-01T00:00:30Z,5"], True),
-        (["2016-06-01T00:00:00Z,0000000000000000000000099.999999", "2016-06-01T00:00:30Z,5"], True),
+        (["1900-02-28T00:00:00Z,5.0000", "1900-02-29T00:00:00Z,6.0000"], False),
+        (["2015-02-28T00:00:00Z,5.0000", "2015-02-29T00:00:00Z,6.0000"], False),
+        (["2000-02-28T00:00:00Z,5.0000", "2000-02-29T00:00:00Z,6.0000"], True),
+        (["2016-02-29T00:00:00Z,5.0000", "2016-02-29T00:00:30Z,6.0000"], True),
+        (["2016-06-00T00:00:00Z,5.0000", "2016-06-01T00:00:30Z,6.0000"], False),
+        (["2016-00-01T00:00:00Z,5.0000", "2016-06-01T00:00:30Z,6.0000"], False),
+        (["2016-06-01T00:60:00Z,5.0000", "2016-06-01T01:00:30Z,6.0000"], False),
+        (["0000-12-31T23:59:30Z,5.0000", "0001-01-01T00:00:00Z,6.0000"], False),
+        (["0001-01-01T00:00:00Z,5.0000", "0001-01-01T00:00:30Z,6.0000"], True),
+        (["9999-12-31T23:59:30Z,5.0000", "9999-12-31T23:59:59Z,6.0000"], True),
+        (["2016-06-01T23:59:30Z,5.0000", "2016-06-02T00:00:00Z,6.0000"], True),
+        (["2016-06-01T00:00:00Z,0.0000", "2016-06-01T00:00:30Z,100.0000"], True),
+        (["2016-06-01T00:00:00Z,100.0001", "2016-06-01T00:00:30Z,5.0000"], False),
+        (["2016-06-01T00:00:00Z,1000.0000", "2016-06-01T00:00:30Z,5.0000"], False),
+        (["2016-06-01T00:00:00Z,12.34567", "2016-06-01T00:00:30Z,5.0000"], False),
+        (["2016-06-01T00:00:00Z,5.000", "2016-06-01T00:00:30Z,5.0000"], False),
+        (["2016-06-01T00:00:00Z,0000050", "2016-06-01T00:00:30Z,5.0000"], False),
+        # percents in any form but .4f take the row loop
+        (["2016-06-01T00:00:00Z,5.", "2016-06-01T00:00:30Z,.5"], False),
+        (["2016-06-01T00:00:00Z,007", "2016-06-01T00:00:30Z,100."], False),
+        (["2016-06-01T00:00:00Z,0", "2016-06-01T00:00:30Z,100"], False),
+        (["2016-06-01T00:00:00Z,12.3456789012345", "2016-06-01T00:00:30Z,5"], False),
+        (["2016-06-01T00:00:00Z,98.35806966599173", "2016-06-01T00:00:30Z,5"], False),
+        (["2016-06-01T00:00:00Z,95.748906828836075", "2016-06-01T00:00:30Z,5"], False),
+        (["2016-06-01T00:00:00Z,0.1000000000000001", "2016-06-01T00:00:30Z,5"], False),
+        (["2016-06-01T00:00:00Z,0000000000000000000000099.999999", "2016-06-01T00:00:30Z,5"], False),
         (["2016-06-01T00:00:00Z,00000000000000000000000099.999999", "2016-06-01T00:00:30Z,5"], False),
     ], ids=[
         "feb 29 1900", "feb 29 2015", "feb 29 2000", "feb 29 2016", "day 00", "month 00", "minute 60",
-        "year 1", "year 9999", "date change", "5. and .5", "007 and 100.", "0 and 100",
-        "15 digits", "16 digits", "17 digits", "16 decimals", "32 bytes", "33 bytes",
+        "year 0", "year 1", "year 9999", "date change", "0.0000 and 100.0000", "100.0001", "1000.0000",
+        "5 decimals", "3 decimals", "7 digits", "5. and .5", "007 and 100.", "0 and 100", "15 digits",
+        "16 digits", "17 digits", "16 decimals", "32 bytes", "33 bytes",
     ])
     def test_edge_cases_match_the_row_loop(self, rows, canonical, tmp_path):
         data = ("timestamp,cpu_utilization_percent\n" + "".join(f"{r}\n" for r in rows)).encode()
@@ -220,6 +229,23 @@ class TestColumnParseMatchesRowLoop:
         path.write_bytes(data)
         assert (_parse_canonical(data) is not None) == canonical
         assert _outcome(lambda: parse_trace(path, "m")) == _outcome(lambda: _parse_rows(data, "m"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        whole=st.lists(st.integers(YEAR_1, YEAR_9999_LAST), min_size=2, max_size=50, unique=True),
+        # these bounds draw 0.0 but never -0.0, whose .4f is "-0.0000"
+        values=st.lists(st.floats(0.0, 1.0), min_size=50, max_size=50),
+    )
+    def test_write_trace_output_takes_the_fast_path(self, whole, values):
+        trace = make_trace(np.sort(whole), values[: len(whole)])
+        out = io.StringIO()
+        write_trace(trace, out)
+        data = out.getvalue().encode()
+        canonical = _parse_canonical(data)
+        assert canonical is not None
+        rows = _parse_rows(data, "m")
+        assert canonical[0].tobytes() == rows.times.tobytes()
+        assert canonical[1].tobytes() == rows.values.tobytes()
 
     def test_memory_is_bounded_by_the_file(self, tmp_path):
         n = 23_040  # 8 days at 30 s
