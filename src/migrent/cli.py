@@ -48,6 +48,15 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT_DATA = 3
 EXIT_ALL_FAILED = 4
 
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the OS
+    reports one (a ``taskset`` or container cpuset shrinks it), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # Every setting a flag or the --config file can give, with its default. One
 # config file serves every subcommand; each subcommand resolves only the
 # settings its parser defines.
@@ -61,7 +70,7 @@ _DEFAULTS = {
     "window_seconds": DEFAULT_WINDOW_SECONDS,
     "percentile": DEFAULT_PERCENTILE,
     "min_days": DEFAULT_MIN_DAYS,
-    "jobs": os.cpu_count() or 1,
+    "jobs": _usable_cpus(),
 }
 
 # the settings analyze_machine takes as keywords, passed on unchanged
@@ -227,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("manifest", help="manifest CSV (machine_id,trace_path,cpu_model,datacenter_id)")
     p_fleet.add_argument("--emit-csv", dest="emit_csv", metavar="DIR",
                          help="also write CDF/table CSVs into DIR")
-    p_fleet.add_argument("--jobs", help="worker processes (default: the number of CPUs)")
+    p_fleet.add_argument("--jobs", help="worker processes (default: the number of CPUs this process may run on)")
     _add_catalog_options(p_fleet)
     _add_analysis_options(p_fleet)
 

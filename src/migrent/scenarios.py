@@ -237,24 +237,33 @@ class _Moments:
 
 
 def _sorted_moments(machine_id: str, values: np.ndarray, weights: np.ndarray, base=(0.0, 0.0, 0.0)) -> _Moments:
+    # each prefix sum is the cumsum of [base, terms...], built in place in its
+    # own output; cumsum adds in order, so this is the cumsum of the concatenation
     order = np.argsort(values)
-    u, w = values[order], weights[order]
-    wu = w * u  # w·u² as (w·u)·u: u·u alone overflows for a large hourly ratio u / max_h
-    base_w, base_u, base_uu = base
-    return _Moments(
-        machine_id,
-        u,
-        np.cumsum(np.concatenate(([base_w], w))),
-        np.cumsum(np.concatenate(([base_u], wu))),
-        np.cumsum(np.concatenate(([base_uu], wu * u))),
-        np.concatenate((np.cumsum(w[::-1])[::-1], [0.0])),
-    )
+    u = values[order]
+    lo_w = np.empty(u.size + 1)
+    w = lo_w[1:]
+    np.take(weights, order, out=w, mode="clip")  # argsort's indices are in range
+    del order
+    lo_u, lo_uu, hi_w = np.empty(lo_w.size), np.empty(lo_w.size), np.empty(lo_w.size)
+    lo_w[0], lo_u[0], lo_uu[0] = base
+    np.multiply(w, u, out=lo_u[1:])  # w·u² as (w·u)·u: u·u alone overflows for a large hourly ratio u / max_h
+    np.multiply(lo_u[1:], u, out=lo_uu[1:])
+    hi_w[-1] = 0.0
+    np.cumsum(w[::-1], out=hi_w[-2::-1])
+    for prefix in (lo_w, lo_u, lo_uu):
+        np.cumsum(prefix, out=prefix)
+    return _Moments(machine_id, u, lo_w, lo_u, lo_uu, hi_w)
 
 
 def _sample_moments(trace: UtilizationTrace) -> _Moments:
     """The samples with their trapezoid weights: half of each adjacent interval."""
-    half = 0.5 * np.diff(trace.times)
-    weights = np.concatenate((half, [0.0])) + np.concatenate(([0.0], half))
+    half = np.diff(trace.times)
+    half *= 0.5
+    weights = np.empty(half.size + 1)
+    weights[0], weights[-1] = half[0], half[-1]
+    np.add(half[1:], half[:-1], out=weights[1:-1])
+    del half
     return _sorted_moments(trace.machine_id, trace.values, weights)
 
 
@@ -369,7 +378,7 @@ def hourly_capacities(trace: UtilizationTrace, target: float) -> tuple[np.ndarra
     POSIX seconds, capacities).
     """
     target = _check_target(target)
-    first_hour, hour_max, _ = _hourly_split(trace)
+    first_hour, hour_max, *_ = _hourly_split(trace)
     starts = (first_hour + np.arange(hour_max.size)) * _SECONDS_PER_HOUR
     return starts, hour_max / target
 
@@ -377,9 +386,9 @@ def hourly_capacities(trace: UtilizationTrace, target: float) -> tuple[np.ndarra
 def _hourly_split(trace: UtilizationTrace):
     """Split the trace at hour boundaries and find each hour's sample maximum.
 
-    Returns (first_hour_index, hour_max, segments), where segments is
-    (segment_hour_index, left_values, right_values, half_durations) over
-    the pieces between sample times and hour boundaries. Hours that contain
+    Returns (first_hour_index, hour_max, per_hour, ts, us): the sample times
+    with every hour boundary added, the values there, and how many of the
+    segments between consecutive ``ts`` fall in each hour. Hours that contain
     no raw sample (inside a long gap) fall back to the maximum of the
     interpolated segment endpoints so their capacity is still defined.
     """
@@ -400,19 +409,22 @@ def _hourly_split(trace: UtilizationTrace):
     hour_max = np.maximum.reduceat(u, starts)  # an hour without samples is replaced below
 
     new = t[at] != bounds  # boundaries that are not already sample times
-    ts = np.insert(t, at[new], bounds[new])
-    us = np.insert(u, at[new], np.interp(bounds[new], t, u))
-    mids = 0.5 * (ts[:-1] + ts[1:])
+    if new.any():
+        ts = np.insert(t, at[new], bounds[new])
+        us = np.insert(u, at[new], np.interp(bounds[new], t, u))
+    else:
+        ts, us = t, u
+    mids = np.add(ts[:-1], ts[1:])
+    mids *= 0.5
     per_hour = np.diff(np.searchsorted(mids, bounds), prepend=0, append=mids.size)
-    seg_hour = np.repeat(np.arange(n_hours), per_hour)
-    left, right = us[:-1], us[1:]
+    del mids
 
     if not has_sample.all():
         fallback = np.full(n_hours, -1.0)
-        np.maximum.at(fallback, seg_hour, np.maximum(left, right))
+        np.maximum.at(fallback, np.repeat(np.arange(n_hours), per_hour), np.maximum(us[:-1], us[1:]))
         hour_max = np.where(has_sample, hour_max, fallback)
 
-    return first_hour, hour_max, (seg_hour, left, right, 0.5 * np.diff(ts))
+    return first_hour, hour_max, per_hour, ts, us
 
 
 def _hour_moments(trace: UtilizationTrace) -> _Moments:
@@ -426,17 +438,43 @@ def _hour_moments(trace: UtilizationTrace) -> _Moments:
     clip and go into the base; only an hour-boundary endpoint can lie above
     its hour's maximum. Hours whose maximum is 0 are powered off and left out.
     """
-    _, hour_max, (seg_hour, left, right, half) = _hourly_split(trace)
-    seg_max = hour_max[seg_hour]
-    on = seg_max > 0.0
-    seg_max, half = seg_max[on], half[on]
-    v = np.concatenate((left[on] / seg_max, right[on] / seg_max))
-    w = np.tile(half * seg_max, 2)
-    over = v > 1.0
-    kept_v, kept_w = v[~over], w[~over]
-    kept_wv = kept_w * kept_v
-    base = (np.sum(kept_w), np.sum(kept_wv), np.sum(kept_wv * kept_v))
-    return _sorted_moments(trace.machine_id, v[over], w[over], base)
+    _, hour_max, per_hour, ts, us = _hourly_split(trace)
+    seg_max = np.repeat(hour_max, per_hour)
+    # a slice, which copies nothing, when no hour is off
+    on = slice(None) if (hour_max > 0.0).all() else seg_max > 0.0
+    seg_max = seg_max[on]
+    m = seg_max.size
+    # w holds each segment's half duration times its hour's maximum, twice;
+    # v holds every left endpoint over that maximum, then every right one
+    w = np.empty(2 * m)
+    np.subtract(ts[1:][on], ts[:-1][on], out=w[:m])
+    del ts
+    w[:m] *= 0.5
+    w[:m] *= seg_max
+    w[m:] = w[:m]
+    v = np.empty(2 * m)
+    np.divide(us[:-1][on], seg_max, out=v[:m])
+    np.divide(us[1:][on], seg_max, out=v[m:])
+    del us, seg_max, on
+
+    if m and v.max() > 1.0:
+        over = v > 1.0
+        high_v, high_w = v[over], w[over]
+        np.logical_not(over, out=over)
+        v = v[over]  # one at a time, so that only one old array is alive beside its copy
+        w = w[over]
+        del over
+    else:
+        high_v = high_w = np.empty(0)
+    # np.sum's pairwise blocks depend on the array it is given, so the base
+    # sums each take one contiguous array of the kept endpoints: w, w·v, w·v·v
+    base_w = np.sum(w)
+    np.multiply(w, v, out=w)
+    base_u = np.sum(w)
+    np.multiply(w, v, out=w)
+    base = (base_w, base_u, np.sum(w))
+    del v, w
+    return _sorted_moments(trace.machine_id, high_v, high_w, base)
 
 
 def _hourly_energy(hours: _Moments, target: float, model: EnergyModel) -> float:

@@ -54,12 +54,13 @@ class UtilizationTrace:
             raise TraceError("times and values must be 1-d arrays of equal length")
         if times.size < 2:
             raise TraceError(f"a trace needs at least 2 samples, got {times.size}")
-        if not np.all(np.isfinite(times)):
+        # min and max are NaN if any value is, and NaN fails every comparison,
+        # so these reductions also reject NaN without a full-size mask
+        if not (np.isfinite(times.min()) and np.isfinite(times.max())):
             raise TraceError("timestamps must be finite")
-        if not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():
             raise TraceError("timestamps must be strictly increasing")
-        # NaN fails both comparisons, so this also rejects non-finite values
-        if not (np.all(values >= 0.0) and np.all(values <= 1.0)):
+        if not (values.min() >= 0.0 and values.max() <= 1.0):
             raise TraceError("utilization values must lie in [0, 1]")
         times.setflags(write=False)
         values.setflags(write=False)
@@ -160,95 +161,185 @@ def _parse_rows(source, machine_id: str) -> UtilizationTrace:
 
 
 # write_trace's form, which parse_trace reads by digit arithmetic: this
-# header, then rows of "YYYY-MM-DDTHH:MM:SSZ," (the head; '0' in the template
+# header, then rows of "YYYY-MM-DDTHH:MM:SSZ," (the head; '0' in a template
 # marks a digit) and a percent of 1 to 3 digits, '.' and 4 decimals.
 _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\n"
-_HEAD_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
-# the most a head byte may exceed the template's: 9 at a digit, 0 at a literal
-_HEAD_LIMITS = np.where(_HEAD_TEMPLATE == ord("0"), 9, 0).astype(np.uint8)[:, None]
-_CLOCK_LIMITS = np.array([[24], [60], [60]], dtype=np.uint8)  # hour, minute, second
-_PERCENT_WIDTHS = (6, 8)  # "0.0000" to "100.0000"
-_DOT = np.uint8((ord(".") - ord("0")) % 256)  # '.' less '0', wrapped as uint8 wraps
+_HEAD_TEMPLATE = b"0000-00-00T00:00:00Z,"
+_PERCENT_TEMPLATE = b"000.0000"  # the widest, "100.0000"; a field is right-aligned in it
+_PERCENT_WIDTHS = (6, 8)
+_SEARCH_BLOCK = 1 << 16  # bytes of a file _newlines scans at once
+
+
+def _word(data) -> np.uint64:
+    """Eight bytes as one little-endian integer."""
+    return np.uint64(int.from_bytes(bytes(data), "little"))
+
+
+def _word_check(template: bytes) -> tuple[np.uint64, np.uint64, np.uint64]:
+    """(xor, add, mask) that check 8 bytes, read as a little-endian word, against ``template``.
+
+    '0' in the template stands for a digit and NUL for any byte; any other
+    byte must match. ``x = word ^ xor`` then holds 0 at each literal and each
+    digit's value at its byte, and ``(x | (x + add)) & mask`` is 0 exactly
+    when every byte is right: ``add`` carries a digit byte of 10 to 15 into
+    its high half, and a carry out of a byte happens only when that byte's
+    high half is set already.
+    """
+    return (_word(template),
+            _word(6 if c == ord("0") else 0 for c in template),
+            _word(0xF0 if c == ord("0") else 0 if c == 0 else 0xFF for c in template))
+
+
+# a head is gathered with the 3 bytes after it, the start of its row's
+# percent field (a row is at least 28 bytes), so that it is 3 whole words
+_HEAD_BYTES = 24
+_HEAD_CHECKS = tuple(_word_check((_HEAD_TEMPLATE + bytes(3))[i : i + 8]) for i in range(0, _HEAD_BYTES, 8))
+_PERCENT_CHECK = _word_check(_PERCENT_TEMPLATE)
+# by a field's width, the bytes of the percent word that hold it: its top ones
+_PERCENT_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - width)) for width in range(9)], dtype=np.uint64)
 
 
 def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(times, values) of a file in write_trace's exact form, else None.
 
-    Gathers each row's head and percent field with one fancy index each and
-    computes seconds and percents from the digits, so no Python object or
-    string is made per row. Returns None for anything else, which the row
-    loop reads: other headers, layouts, percent forms or line endings, blank
-    rows, fewer than two rows, year 0000, impossible dates, percents over 100
-    and times that do not increase.
+    Gathers each row's percent field and head with one fancy index each and
+    checks and reads their digits eight bytes at a time, so no Python object
+    or string is made per row. Returns None for anything else, which the
+    row loop reads: other headers, layouts, percent forms or line endings,
+    blank rows, fewer than two rows, year 0000, impossible dates, percents
+    over 100 and times that do not increase.
     """
     if not data.startswith(_HEADER_LINE.encode()) or not data.endswith(b"\n"):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == 10)
-    widths = np.diff(newlines) - (_HEAD_TEMPLATE.size + 1)  # of the percent fields
+    newlines = _newlines(buf)
+    widths = np.diff(newlines)
+    widths -= len(_HEAD_TEMPLATE) + 1  # of the percent fields
     least, most = _PERCENT_WIDTHS
     if widths.size < 2 or not least <= widths.min() <= widths.max() <= most:
         return None
-    seconds = _stamp_seconds(_gather(buf, newlines[:-1] + 1, _HEAD_TEMPLATE.size))
-    if seconds is None or not (seconds[1:] > seconds[:-1]).all():
-        return None
-    values = _percents(_gather(buf, newlines[1:] - most, most), widths)
+    # from here on newlines[i] is `most` bytes before the i-th newline: where
+    # the percent field of the row that newline ends is gathered from, and
+    # `most + 1` bytes before the start of the next row's head
+    newlines -= most
+    values = _percents(_gather(buf, newlines[1:], most), widths)
+    del widths
     if values is None or not values.max() <= 100.0:
         return None
     values /= 100.0
-    return seconds.astype(np.float64), values
+    heads = _gather(buf[most + 1 :], newlines[:-1], _HEAD_BYTES)
+    del newlines
+    seconds = _stamp_seconds(heads)
+    del heads
+    if seconds is None or not (seconds[1:] > seconds[:-1]).all():
+        return None
+    return seconds, values
+
+
+def _newlines(buf: np.ndarray) -> np.ndarray:
+    """The offsets of every newline in ``buf``.
+
+    The search runs a block at a time, so its byte mask is one block, not
+    the size of the file.
+    """
+    pieces = []
+    for start in range(0, buf.size, _SEARCH_BLOCK):
+        piece = np.flatnonzero(buf[start : start + _SEARCH_BLOCK] == 10)
+        piece += start
+        pieces.append(piece)
+    return np.concatenate(pieces)
 
 
 def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``buf`` from each offset, a row each."""
+    """The ``width`` bytes of ``buf`` from each offset, a row each, as a new array."""
     records = np.ndarray((buf.size - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
     return records[offsets].view(np.uint8).reshape(offsets.size, width)
 
 
+def _off_form(x: np.ndarray, add: np.uint64, mask: np.uint64) -> bool:
+    """Whether a word, XORed with its template, breaks the check of ``_word_check``."""
+    y = x + add
+    y |= x
+    y &= mask
+    return bool(y.any())
+
+
 def _stamp_seconds(heads: np.ndarray) -> np.ndarray | None:
     """POSIX seconds of the rows' heads, or None if one is off-form or no real time."""
-    digits = np.ascontiguousarray(heads.T)  # a row per head byte
-    digits -= _HEAD_TEMPLATE[:, None]
-    if (digits > _HEAD_LIMITS).any():  # bytes below '0' wrap past 9
-        return None
-    clock = digits[[11, 14, 17]] * np.uint8(10) + digits[[12, 15, 18]]
-    if (clock >= _CLOCK_LIMITS).any():
-        return None
-    hour, minute, second = clock.astype(np.int32)
-    # a date is worked out once, at the first row of each run that shares it
-    firsts = np.ones(heads.shape[0], dtype=bool)
-    np.any(digits[:10, 1:] != digits[:10, :-1], axis=0, out=firsts[1:])
+    rows = heads.shape[0]
+    words = heads.view("<u8")  # a row of 3 words per head
+    x = np.empty(rows, dtype=np.uint64)
+    for column, (xor, add, mask) in enumerate(_HEAD_CHECKS):
+        np.bitwise_xor(words[:, column], xor, out=x)
+        if _off_form(x, add, mask):
+            return None
+    del x
+    zero = np.uint8(ord("0"))
+    clock = []  # hour, minute, second
+    for tens, limit in ((11, 24), (14, 60), (17, 60)):
+        value = heads[:, tens] - zero
+        value *= np.uint8(10)
+        value += heads[:, tens + 1]
+        value -= zero
+        if value.max() >= limit:
+            return None
+        clock.append(value)
+    # a date is worked out once, at the first row of each run that shares it;
+    # a row starts a run if its ten date bytes (word 0 and bytes 8 and 9)
+    # differ from the row before's
+    firsts = np.ones(rows, dtype=bool)
+    np.not_equal(words[1:, 0], words[:-1, 0], out=firsts[1:])
+    date_end = heads[:, 8:10].view("<u2")[:, 0]
+    firsts[1:] |= date_end[1:] != date_end[:-1]
     firsts = np.flatnonzero(firsts)
-    dates = str(heads[firsts, :10].tobytes(), "ascii")
+    dates = heads[firsts, :10].tobytes()
     try:
-        ordinals = [dt.date.fromisoformat(dates[i : i + 10]).toordinal() for i in range(0, len(dates), 10)]
+        ordinals = [dt.date.fromisoformat(str(dates[i : i + 10], "ascii")).toordinal()
+                    for i in range(0, len(dates), 10)]
     except ValueError:  # year 0000 or a day its month lacks
         return None
     days = np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL
-    day_starts = np.repeat(days * 86_400, np.diff(firsts, append=heads.shape[0]))
-    return day_starts + (hour * 60 + minute) * 60 + second
+    # every sum is of whole numbers far below 2**53, so it is exact in float64
+    seconds = np.repeat(days * 86_400.0, np.diff(firsts, append=rows))
+    hour, minute, second = clock
+    of_day = hour.astype(np.int32)
+    of_day *= 60
+    of_day += minute
+    of_day *= 60
+    of_day += second
+    seconds += of_day
+    return seconds
 
 
 def _percents(fields: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
     """The percents right-aligned in ``fields``, each ``widths`` bytes, or None.
 
     A field is 1 to 3 digits, '.' and 4 digits, so its '.' is at byte 3.
+    Works in ``fields``, which it overwrites.
     """
-    digits = np.ascontiguousarray(fields.T)  # a row per byte of the fields
-    digits -= np.uint8(ord("0"))
-    width = fields.shape[1]
-    digits *= np.arange(width)[:, None] >= width - widths  # the bytes before a field read as 0
-    if not (digits[3] == _DOT).all():
+    xor, add, mask = _PERCENT_CHECK
+    words = fields.view("<u8")[:, 0]  # a word per field; its first byte is the low one
+    words ^= xor
+    words &= _PERCENT_KEEP[widths]  # the bytes before a shorter field read as digit 0
+    if _off_form(words, add, mask):
         return None
-    digits[3] = 0
-    if (digits > 9).any():
-        return None
-    # Horner's rule over the seven digit columns; a mantissa of at most 7
-    # digits and 1e4 are exact doubles, so their quotient is float() of the text
-    mantissa = np.zeros(fields.shape[0])
-    for column in digits[[0, 1, 2, 4, 5, 6, 7]]:
-        mantissa *= 10.0
-        mantissa += column
+    # the eight digits ('.' now reads 0) as one number: neighbouring lanes of
+    # 1, 2 and then 4 digits are joined, the first digit being the low byte,
+    # as the lane that comes first times 10, 100 or 10**4 plus the next one
+    carry = np.empty_like(words)
+    for bits, scale, lanes in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF)):
+        np.right_shift(words, np.uint64(bits), out=carry)
+        words *= np.uint64(scale)
+        words += carry
+        words &= np.uint64(lanes)
+    # a field a.b reads as a·10**5 + b with b < 10**4, and its mantissa is
+    # a·10**4 + b; at most 7 digits and 1e4 are exact doubles, so their
+    # quotient is float() of the text
+    np.floor_divide(words, np.uint64(100_000), out=carry)
+    carry *= np.uint64(90_000)
+    words -= carry
+    del carry
+    mantissa = words.astype(np.float64)
     mantissa /= 1e4
     return mantissa
 
@@ -373,13 +464,28 @@ def smooth(trace: UtilizationTrace, window_seconds: float = DEFAULT_WINDOW_SECON
     # "full segments inside the window" plus one partial segment at the
     # window start; the partial segment's value is u[js] (or the flat
     # extension value u[0] when the window starts before the trace).
+    # Each step below writes into an array it no longer needs, so the
+    # smoothed values take few full-size temporaries and the same arithmetic.
     starts = t - window
     js = np.searchsorted(t, starts, side="right")  # first sample index with t > window start
-    cum = np.concatenate(([0.0], np.cumsum(u[1:] * np.diff(t))))
-    interior = cum[np.arange(t.size)] - cum[js]
-    head = u[js] * (t[js] - starts)
-    smoothed = np.clip((interior + head) / window, 0.0, 1.0)
-    return UtilizationTrace(trace.machine_id, t.copy(), smoothed)
+    cum = np.empty(t.size)
+    cum[0] = 0.0
+    np.subtract(t[1:], t[:-1], out=cum[1:])
+    cum[1:] *= u[1:]
+    np.cumsum(cum[1:], out=cum[1:])
+    smoothed = cum.take(js)
+    np.subtract(cum, smoothed, out=smoothed)  # the full segments inside each window
+    del cum
+    head = t.take(js)
+    head -= starts
+    np.take(u, js, out=starts, mode="clip")  # cum.take checked js; "clip" fills out without a copy
+    head *= starts  # the partial segment at each window's start
+    del js, starts
+    smoothed += head
+    del head
+    smoothed /= window
+    np.clip(smoothed, 0.0, 1.0, out=smoothed)
+    return UtilizationTrace(trace.machine_id, t, smoothed)  # times are read-only, so they are shared
 
 
 def daily_maxima(trace: UtilizationTrace) -> DailyMaxima:

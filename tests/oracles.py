@@ -170,3 +170,83 @@ def dumps_stable_ref(obj) -> str:
         return value
 
     return json.dumps(rounded(obj), indent=2, allow_nan=False) + "\n"
+
+
+# The scenario kernel and the smoothing step in their first vectorized form,
+# which concatenated and copied freely. The package now builds the same
+# arrays in place; these copies pin its bits (compare with ``tobytes()``).
+# Each moments function returns (sorted_u, lo_w, lo_u, lo_uu, hi_w).
+
+HOUR = 3600.0
+
+
+def smooth_vectorized_ref(t, u, window: float) -> np.ndarray:
+    starts = t - window
+    js = np.searchsorted(t, starts, side="right")
+    cum = np.concatenate(([0.0], np.cumsum(u[1:] * np.diff(t))))
+    interior = cum[np.arange(t.size)] - cum[js]
+    head = u[js] * (t[js] - starts)
+    return np.clip((interior + head) / window, 0.0, 1.0)
+
+
+def sorted_moments_ref(values, weights, base=(0.0, 0.0, 0.0)):
+    order = np.argsort(values)
+    u, w = values[order], weights[order]
+    wu = w * u
+    base_w, base_u, base_uu = base
+    return (
+        u,
+        np.cumsum(np.concatenate(([base_w], w))),
+        np.cumsum(np.concatenate(([base_u], wu))),
+        np.cumsum(np.concatenate(([base_uu], wu * u))),
+        np.concatenate((np.cumsum(w[::-1])[::-1], [0.0])),
+    )
+
+
+def sample_moments_ref(t, u):
+    half = 0.5 * np.diff(t)
+    weights = np.concatenate((half, [0.0])) + np.concatenate(([0.0], half))
+    return sorted_moments_ref(u, weights)
+
+
+def hourly_split_ref(t, u):
+    """(first_hour, hour_max, (seg_hour, left, right, half_durations))."""
+    first_hour = int(t[0] // HOUR)
+    last_hour = int(t[-1] // HOUR)
+    n_hours = last_hour - first_hour + 1
+    bounds = np.arange(first_hour + 1, last_hour + 1, dtype=np.float64) * HOUR
+    at = np.searchsorted(t, bounds)
+    starts = np.concatenate(([0], at))
+    has_sample = np.diff(starts, append=t.size) > 0
+    hour_max = np.maximum.reduceat(u, starts)
+    new = t[at] != bounds
+    ts = np.insert(t, at[new], bounds[new])
+    us = np.insert(u, at[new], np.interp(bounds[new], t, u))
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    per_hour = np.diff(np.searchsorted(mids, bounds), prepend=0, append=mids.size)
+    seg_hour = np.repeat(np.arange(n_hours), per_hour)
+    left, right = us[:-1], us[1:]
+    if not has_sample.all():
+        fallback = np.full(n_hours, -1.0)
+        np.maximum.at(fallback, seg_hour, np.maximum(left, right))
+        hour_max = np.where(has_sample, hour_max, fallback)
+    return first_hour, hour_max, (seg_hour, left, right, 0.5 * np.diff(ts))
+
+
+def hour_moments_ref(t, u):
+    _, hour_max, (seg_hour, left, right, half) = hourly_split_ref(t, u)
+    seg_max = hour_max[seg_hour]
+    on = seg_max > 0.0
+    seg_max, half = seg_max[on], half[on]
+    v = np.concatenate((left[on] / seg_max, right[on] / seg_max))
+    w = np.tile(half * seg_max, 2)
+    over = v > 1.0
+    kept_v, kept_w = v[~over], w[~over]
+    kept_wv = kept_w * kept_v
+    base = (np.sum(kept_w), np.sum(kept_wv), np.sum(kept_wv * kept_v))
+    return sorted_moments_ref(v[over], w[over], base)
+
+
+def hourly_capacities_ref(t, u, target: float):
+    first_hour, hour_max, _ = hourly_split_ref(t, u)
+    return (first_hour + np.arange(hour_max.size)) * HOUR, hour_max / target

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import migrent
 from migrent import write_trace
-from migrent.cli import main
+from migrent.cli import _usable_cpus, main
 from migrent.report import dumps_stable
 
 from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace
@@ -310,7 +310,16 @@ class TestFleet:
         with pytest.raises(SystemExit):
             main(["fleet", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "worker processes (default: the number of CPUs)" in help_text
+        assert "worker processes (default: the number of CPUs this process may run on)" in help_text
+
+    def test_default_jobs_counts_the_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _usable_cpus() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
 
     def test_missing_manifest_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fleet", str(tmp_path / "none.csv"))

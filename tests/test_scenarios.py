@@ -1,5 +1,7 @@
 """Per-machine migration scenarios: resizing, auto-scaling, and the full report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,7 @@ from migrent import (
     lift_and_shift_fraction,
     relative_power,
     scaled_power,
+    smooth,
     static_resize_fraction,
 )
 from migrent.scenarios import (
@@ -36,14 +39,19 @@ from migrent.scenarios import (
     _on_prem_energy,
     _resized_energy,
     _sample_moments,
+    machine_columns,
 )
 
 from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace, make_trace
 from oracles import (
     curve,
+    hour_moments_ref,
+    hourly_capacities_ref,
     hourly_fraction_ref,
     ideal_fraction_ref,
     random_walk_trace,
+    sample_moments_ref,
+    smooth_vectorized_ref,
     static_fraction_ref,
 )
 
@@ -299,6 +307,22 @@ class TestStaticResizedBaselinePeak:
 
 
 class TestAnalyzeMachine:
+    def test_memory_is_bounded_by_the_samples(self, model, small_catalog):
+        # 8 days at 30 s, whose hour boundaries fall on samples that lie above
+        # the hour before's maximum; the peak is about 3.15 times the trace's
+        # 16 bytes a sample
+        n = 23_040
+        trace = make_trace(POSIX_2016_06_01 + 30.0 * np.arange(n), np.random.default_rng(8).random(n))
+        record = MachineRecord("test", trace, "old-box")
+        tracemalloc.start()
+        try:
+            machine_columns(record, [0.5, 0.6, 0.7, 0.8, 0.9], model, small_catalog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _hour_moments(trace).sorted_u.size > 0
+        assert peak <= 3.6 * 16 * n
+
     @pytest.fixture
     def record(self):
         rng = np.random.default_rng(106)
@@ -548,3 +572,66 @@ class TestMomentKernel:
         trace = generate_trace(params, "sweep")
         targets = [round((k + 1) / 100, 6) for k in range(100)]
         assert_moment_kernel_matches(trace, model, estimate_peak(trace), targets)
+
+
+@st.composite
+def long_traces(draw):
+    """Hundreds to thousands of samples, so np.sum's pairwise blocks and the
+    prefix sums run long, with values on a coarse grid so the sort sees ties;
+    optionally a gap of a few hours and an hour of zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(200, 3000))
+    t = POSIX_2016_06_01 + draw(st.sampled_from([0.0, 12.5])) + draw(st.sampled_from([30.0, 300.0, 617.3])) * np.arange(n)
+    u = np.round(np.clip(rng.normal(0.4, 0.25, n), 0.0, 1.0), 2)
+    if draw(st.booleans()):
+        t[n // 2 :] += draw(st.sampled_from([1.5, 5.0])) * _HOUR
+    if draw(st.booleans()):
+        u[t // _HOUR == t[n // 3] // _HOUR + 1] = 0.0
+    return make_trace(t, u, machine_id="long")
+
+
+_MOMENT_FIELDS = ("sorted_u", "lo_w", "lo_u", "lo_uu", "hi_w")
+
+
+class TestKernelMatchesReferenceBits:
+    """The in-place kernel against copies of its first, concatenating form, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(trace, target):
+        t, u = trace.times, trace.values
+        for got, want in ((_sample_moments(trace), sample_moments_ref(t, u)),
+                          (_hour_moments(trace), hour_moments_ref(t, u))):
+            assert [getattr(got, f).tobytes() for f in _MOMENT_FIELDS] == [a.tobytes() for a in want]
+        got, want = hourly_capacities(trace, target), hourly_capacities_ref(t, u, target)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert smooth(trace, 300.0).values.tobytes() == smooth_vectorized_ref(t, u, 300.0).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=hour_block_traces(), target=st.floats(0.01, 1.0))
+    def test_hour_blocks(self, trace, target):
+        self.assert_same_bits(trace, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=long_traces(), target=st.floats(0.01, 1.0))
+    def test_long_traces(self, trace, target):
+        self.assert_same_bits(trace, target)
+
+    @pytest.mark.parametrize("offsets, values, over", [
+        # the 0.9 on the boundary lies above hour 0's maximum 0.5
+        ([0, 1200, 2400, 3600, 4800], [0.2, 0.5, 0.4, 0.9, 0.1], True),
+        ([0, 1200, 2400, 3600, 4800], [0.5, 0.5, 0.5, 0.5, 0.5], False),
+        # hour 0 is off and nothing lies above its hour's maximum
+        ([0, 1200, 2400, 3600, 4800], [0.0, 0.0, 0.0, 0.7, 0.3], False),
+        # hour 1 is off; 10800 s falls between samples, where 0.84 lies above hour 2's maximum 0.8
+        ([0, 1200, 2400, 4000, 5000, 7000, 7400, 10000, 11000], [0.1, 0.1, 0.1, 0.0, 0.0, 0.0, 0.8, 0.2, 1.0], True),
+    ])
+    def test_listed_cases(self, offsets, values, over):
+        trace = make_trace(POSIX_2016_06_01 + np.array(offsets, dtype=float), values)
+        assert (_hour_moments(trace).sorted_u.size > 0) == over
+        self.assert_same_bits(trace, 0.7)
+
+    def test_single_hour_and_gap_hours(self):
+        single = make_trace(POSIX_2016_06_01 + 600.0 + 30.0 * np.arange(100), np.linspace(0.1, 0.9, 100))
+        gap = make_trace(POSIX_2016_06_01 + np.array([0.0, 1800.0, 5.5 * _HOUR, 6 * _HOUR]), [0.3, 0.6, 0.9, 0.2])
+        for trace in (single, gap):
+            self.assert_same_bits(trace, 0.5)
