@@ -374,8 +374,9 @@ def hourly_capacities(trace: UtilizationTrace, target: float) -> tuple[np.ndarra
 
     Capacity is that hour's maximum observed sample divided by the target,
     so the hour's peak runs at the target utilization; an hour whose maximum
-    is 0 gets capacity 0 (the instance is off). Returns (hour start times in
-    POSIX seconds, capacities).
+    is 0 gets capacity 0 (the instance is off). An hour without a sample,
+    inside a gap, takes the larger of the values interpolated at its two
+    boundaries. Returns (hour start times in POSIX seconds, capacities).
     """
     target = _check_target(target)
     first_hour, hour_max, *_ = _hourly_split(trace)
@@ -388,9 +389,10 @@ def _hourly_split(trace: UtilizationTrace):
 
     Returns (first_hour_index, hour_max, per_hour, ts, us): the sample times
     with every hour boundary added, the values there, and how many of the
-    segments between consecutive ``ts`` fall in each hour. Hours that contain
-    no raw sample (inside a long gap) fall back to the maximum of the
-    interpolated segment endpoints so their capacity is still defined.
+    segments between consecutive ``ts`` fall in each hour. A boundary between
+    samples gets the interpolated value there. An hour with no raw sample
+    lies inside a gap, where one segment joins its two boundaries, so its
+    maximum is the larger of the values at those boundaries.
     """
     t = trace.times
     u = trace.values
@@ -400,30 +402,23 @@ def _hourly_split(trace: UtilizationTrace):
     if n_hours > _MAX_HOURS:
         raise TraceError(f"trace spans {n_hours} clock hours, the hourly scenario allows at most {_MAX_HOURS}")
 
-    # times are sorted, so each hour's samples and segments are one run of
-    # indices, found by searching for the hour boundaries
+    # times are sorted, so each hour's samples are one run of indices,
+    # found by searching for the hour boundaries
     bounds = np.arange(first_hour + 1, last_hour + 1, dtype=np.float64) * _SECONDS_PER_HOUR
     at = np.searchsorted(t, bounds)  # first sample at or after each boundary
-    starts = np.concatenate(([0], at))
-    has_sample = np.diff(starts, append=t.size) > 0
-    hour_max = np.maximum.reduceat(u, starts)  # an hour without samples is replaced below
-
+    hour_max = np.maximum.reduceat(u, np.concatenate(([0], at)))  # an hour without samples is replaced below
     new = t[at] != bounds  # boundaries that are not already sample times
     if new.any():
+        edges = np.interp(bounds, t, u)  # at a boundary that is a sample time, that sample exactly
         ts = np.insert(t, at[new], bounds[new])
-        us = np.insert(u, at[new], np.interp(bounds[new], t, u))
+        us = np.insert(u, at[new], edges[new])
+        empty = np.flatnonzero(at[1:] == at[:-1]) + 1
+        hour_max[empty] = np.maximum(edges[empty - 1], edges[empty])
+        at += np.cumsum(new) - new  # each boundary's index in ts
     else:
         ts, us = t, u
-    mids = np.add(ts[:-1], ts[1:])
-    mids *= 0.5
-    per_hour = np.diff(np.searchsorted(mids, bounds), prepend=0, append=mids.size)
-    del mids
-
-    if not has_sample.all():
-        fallback = np.full(n_hours, -1.0)
-        np.maximum.at(fallback, np.repeat(np.arange(n_hours), per_hour), np.maximum(us[:-1], us[1:]))
-        hour_max = np.where(has_sample, hour_max, fallback)
-
+    # a boundary's index in ts is also the number of segments before it
+    per_hour = np.diff(at, prepend=0, append=ts.size - 1)
     return first_hour, hour_max, per_hour, ts, us
 
 

@@ -455,10 +455,19 @@ def smooth(trace: UtilizationTrace, window_seconds: float = DEFAULT_WINDOW_SECON
     step signal over ``[t_i - window, t_i]``. Before the first sample the
     signal is extended flat at the first value, so the earliest outputs are
     averaged against that level. Output timestamps equal input timestamps.
+    Raises ``TraceError`` when the window is below the timestamps'
+    resolution, the float spacing at the largest stamp's magnitude.
     """
     window = check_window_seconds(window_seconds)
     t = trace.times
     u = trace.values
+    # at or above the stamps' resolution every window starts before its own
+    # sample, so no window start is searched past the last sample
+    resolution = float(np.spacing(max(abs(t[0]), abs(t[-1]))))
+    if window < resolution:
+        raise TraceError(
+            f"smoothing window of {window:g} s is below the timestamps' resolution of {resolution:g} s"
+        )
 
     # cumulative area of the step signal lets every window be evaluated as
     # "full segments inside the window" plus one partial segment at the

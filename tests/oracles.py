@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -41,6 +42,24 @@ def smooth_ref(t, u, window: float) -> np.ndarray:
             acc += u[0] * (hi - start)
         out[i] = acc / window
     return np.clip(out, 0.0, 1.0)
+
+
+def daily_maxima_ref(t, u) -> tuple[tuple, list[float]]:
+    """(UTC dates, the largest sample of each), grouping the samples by calendar day.
+
+    The stamp is floored to whole seconds first: midnights are whole seconds,
+    and fromtimestamp rounds to the microsecond, which would move a sample
+    less than half a microsecond before midnight into the next day.
+    """
+    dates, maxima = [], []
+    for stamp, value in zip(t, u):
+        day = datetime.fromtimestamp(math.floor(stamp), timezone.utc).date()
+        if dates and dates[-1] == day:
+            maxima[-1] = max(maxima[-1], float(value))
+        else:
+            dates.append(day)
+            maxima.append(float(value))
+    return tuple(dates), maxima
 
 
 def nearest_rank_ref(values, pct: float) -> float:

@@ -116,6 +116,18 @@ class TestAnalyze:
             "type": "MigrentError", "message": "window_seconds must be finite and positive, got inf",
         }
 
+    def test_window_below_stamp_resolution_exits_2(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "analyze", str(data_dir / "const-04.csv"), "old-box",
+            "--catalog", str(data_dir / "catalog.csv"), "--window-seconds", "1e-10",
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        payload = error_payload(err)
+        assert payload["type"] == "TraceError"
+        assert "below the timestamps' resolution" in payload["message"]
+
     def test_short_trace_exits_3(self, capsys, data_dir):
         code, _, err = run(
             capsys, "analyze", str(data_dir / "short.csv"), "old-box",

@@ -43,7 +43,7 @@ from migrent import (
 
 from migrent.report import dumps_stable, format_float
 
-from conftest import ODD_FLOATS, ODD_TEXT, POSIX_2016_06_01, make_trace
+from conftest import ODD_FLOATS, ODD_TEXT, POSIX_2016_06_01, constant_trace, make_trace
 
 
 def fake_report(
@@ -557,6 +557,21 @@ class TestAnalyzeManifest:
         assert set(reasons) == {"ghost", "wrong-cpu"}
         assert "ghost.csv" in reasons["ghost"]
         assert "not-a-cpu" in reasons["wrong-cpu"]
+
+    def test_window_below_stamp_resolution_is_excluded(self, fleet_dir, tmp_path, model):
+        from migrent import bundled_catalog
+
+        # 1e-8 s resolves stamps of 1970's first days but not of 2016
+        write_trace(constant_trace(0.4, start=0.0, machine_id="epoch"), tmp_path / "epoch.csv")
+        good = load_manifest(fleet_dir / "manifest.csv")[0]
+        (tmp_path / "m2016.csv").symlink_to(fleet_dir / good.trace_path)
+        entries = [ManifestEntry("m2016", "m2016.csv", good.cpu_model, "dc-x"),
+                   ManifestEntry("epoch", "epoch.csv", good.cpu_model, "dc-x")]
+        fleet = analyze_manifest(entries, tmp_path, bundled_catalog(), model, [0.8], window_seconds=1e-8)
+        assert [r.machine_id for r in fleet.reports] == ["epoch"]
+        [exclusion] = fleet.exclusions
+        assert exclusion.machine_id == "m2016"
+        assert "below the timestamps' resolution" in exclusion.reason
 
     def test_all_failures_raise(self, fleet_dir, model):
         from migrent import bundled_catalog

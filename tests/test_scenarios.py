@@ -633,5 +633,19 @@ class TestKernelMatchesReferenceBits:
     def test_single_hour_and_gap_hours(self):
         single = make_trace(POSIX_2016_06_01 + 600.0 + 30.0 * np.arange(100), np.linspace(0.1, 0.9, 100))
         gap = make_trace(POSIX_2016_06_01 + np.array([0.0, 1800.0, 5.5 * _HOUR, 6 * _HOUR]), [0.3, 0.6, 0.9, 0.2])
-        for trace in (single, gap):
+        gappy = [
+            # hour 1 is empty and both its boundaries are interpolated
+            ([0.0, 0.5, 2.5, 3.0], [0.2, 0.7, 0.4, 0.1]),
+            # the gap starts at a sample on the 1 h boundary; hour 2 is empty
+            ([0.0, 0.5, 1.0, 3.5, 4.0], [0.1, 0.3, 0.8, 0.5, 0.2]),
+            # the gap ends at a sample on the 3 h boundary; hours 1 and 2 are empty
+            ([0.0, 0.5, 3.0, 3.5], [0.4, 0.9, 0.6, 0.3]),
+            # a run of five empty hours, neither end on a boundary
+            ([0.1, 0.2, 6.7, 6.9], [0.5, 0.2, 0.7, 0.0]),
+            # two samples spanning 31 hours
+            ([0.03, 30.8], [0.2, 0.8]),
+        ]
+        traces = [single, gap] + [make_trace(POSIX_2016_06_01 + _HOUR * np.array(hours), values)
+                                  for hours, values in gappy]
+        for trace in traces:
             self.assert_same_bits(trace, 0.5)

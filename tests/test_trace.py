@@ -27,7 +27,7 @@ from migrent import (
 from migrent.trace import _BLOCK_ROWS, _parse_canonical, _parse_rows, format_timestamp, parse_timestamp
 
 from conftest import POSIX_2016_06_01, constant_trace, make_trace
-from oracles import nearest_rank_ref, riemann, smooth_ref
+from oracles import daily_maxima_ref, nearest_rank_ref, riemann, smooth_ref
 
 
 YEAR_1 = int(parse_timestamp("0001-01-01T00:00:00Z"))
@@ -503,6 +503,16 @@ class TestSmooth:
         with pytest.raises(ValueError, match="window_seconds must be finite and positive"):
             smooth(trace, window)
 
+    def test_window_below_stamp_resolution_rejected(self):
+        # at 2016 stamps float64 resolves about 2.4e-7 s, so t - 1e-10 == t
+        trace = make_trace(POSIX_2016_06_01 + np.array([0.0, 30.0, 60.0]), [0.1, 0.9, 0.4])
+        with pytest.raises(TraceError, match=r"window of 1e-10 s is below the timestamps' resolution of 2\.38419e-07 s"):
+            smooth(trace, 1e-10)
+
+    def test_window_below_one_resolution_works_at_finer_one(self):
+        trace = make_trace([0.0, 1.0, 2.0], [0.1, 0.9, 0.4])  # resolved to 4.4e-16 s
+        assert np.allclose(smooth(trace, 1e-10).values, trace.values, rtol=1e-5)
+
     def test_matches_brute_force_on_random_traces(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -522,7 +532,35 @@ class TestSmooth:
         assert smoothed.max() <= 0.7 + 1e-12
 
 
+@st.composite
+def day_edge_traces(draw):
+    """Stamps within a microsecond of UTC midnights or anywhere in a day,
+    before and after 1970, with gaps longer than a day, or all in one day."""
+    midnight = 86400.0 * draw(st.integers(-20000, 20000))  # a first day from 1915-03-31 to 2024-10-04
+    one_day = draw(st.booleans())
+    near = st.floats(-1e-6, 1e-6)
+    inside = st.floats(0.0, 86399.0)
+    stamps = set()
+    for _ in range(draw(st.integers(2, 12))):
+        stamps.add(midnight + draw(inside if one_day else st.one_of(near, inside)))
+        if not one_day:
+            midnight += 86400.0 * draw(st.sampled_from([0, 1, 1, 3, 40]))  # 3 and 40 leave days without samples
+    times = sorted(stamps)
+    assume(len(times) >= 2)
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=len(times), max_size=len(times)))
+    return make_trace(times, values)
+
+
 class TestDailyMaxima:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=day_edge_traces())
+    def test_matches_calendar_oracle(self, trace):
+        maxima = daily_maxima(trace)
+        dates, values = daily_maxima_ref(trace.times, trace.values)
+        assert maxima.dates == dates
+        assert maxima.values.tolist() == values
+
     def test_two_days(self):
         t = POSIX_2016_06_01 + np.array([0.0, 3600.0, 86400.0, 90000.0])
         maxima = daily_maxima(make_trace(t, [0.2, 0.6, 0.8, 0.3]))
