@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Iterator, Mapping
 
 from .errors import CatalogError
-from .table import read_table
+from .table import parse_number, read_table
 
 CATALOG_COLUMNS = ("model_name", "spec_score", "tdp_watts", "release_date", "cores", "cloud")
 
@@ -146,11 +146,8 @@ def load_catalog(source, cloud_reference: str | None = None) -> Catalog:
             raise CatalogError(
                 f"duplicate model {name!r} (first defined on line {seen_lines[name]})", line=line
             )
-        try:
-            score = float(row[1])
-            tdp = float(row[2])
-        except ValueError as exc:
-            raise CatalogError(str(exc), line=line) from None
+        score = parse_number(row[1], "spec_score", CatalogError, line)
+        tdp = parse_number(row[2], "tdp_watts", CatalogError, line)
         try:
             released = dt.date.fromisoformat(row[3].strip())
         except ValueError:

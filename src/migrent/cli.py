@@ -57,22 +57,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Every setting a flag or the --config file can give, with its default. One
-# config file serves every subcommand; each subcommand resolves only the
-# settings its parser defines.
-_DEFAULTS = {
-    "catalog": None,
-    "cloud_ref": None,
-    "targets": DEFAULT_TARGETS,
-    "baseline": BASELINE_LIFT_AND_SHIFT,
-    "idle_fraction": DEFAULT_IDLE_FRACTION,
-    "linear_mix": DEFAULT_LINEAR_MIX,
-    "window_seconds": DEFAULT_WINDOW_SECONDS,
-    "percentile": DEFAULT_PERCENTILE,
-    "min_days": DEFAULT_MIN_DAYS,
-    "jobs": _usable_cpus(),
-}
-
 # the settings analyze_machine takes as keywords, passed on unchanged
 _ANALYSIS_KEYS = ("baseline", "window_seconds", "percentile", "min_days")
 
@@ -120,16 +104,26 @@ def _parse_targets(key: str, raw) -> tuple[float, ...]:
     return tuple(values)
 
 
-# how a flag, config or default value becomes a setting (absent: kept as is)
-_CONVERT = {
-    "targets": _parse_targets,
-    "baseline": lambda key, raw: check_baseline(str(raw)),
-    "idle_fraction": _number,  # checked together with linear_mix by EnergyModel
-    "linear_mix": _number,
-    "window_seconds": _strict(float, check_window_seconds),
-    "percentile": _strict(float, check_percentile),
-    "min_days": _strict(int, check_min_days),
-    "jobs": _strict(int, fleet_mod.check_jobs),
+# Every setting a flag or the --config file can give: its default, how a
+# flag, config or default value becomes the setting (None: kept as is) and
+# its flag's help, where "{}" shows the default. One config file serves every
+# subcommand; each subcommand resolves only the settings its parser defines.
+_SETTINGS = {
+    "catalog": (None, None, f"catalog CSV path (default: ${ENV_CATALOG} or the bundled catalog)"),
+    "cloud_ref": (None, None, "cloud reference CPU model (default: newest cloud entry)"),
+    "targets": (DEFAULT_TARGETS, _parse_targets, "comma-separated target utilizations (default: {})"),
+    "baseline": (BASELINE_LIFT_AND_SHIFT, lambda key, raw: check_baseline(str(raw)),
+                 "denominator for auto-scaling fractions (default: {})"),
+    # idle_fraction is checked together with linear_mix by EnergyModel
+    "idle_fraction": (DEFAULT_IDLE_FRACTION, _number, "relative power at zero utilization (default: {})"),
+    "linear_mix": (DEFAULT_LINEAR_MIX, _number, "linear share of the loaded power curve (default: {})"),
+    "window_seconds": (DEFAULT_WINDOW_SECONDS, _strict(float, check_window_seconds),
+                       "smoothing window for peak estimation (default: {})"),
+    "percentile": (DEFAULT_PERCENTILE, _strict(float, check_percentile),
+                   "percentile of daily maxima used as the peak (default: {})"),
+    "min_days": (DEFAULT_MIN_DAYS, _strict(int, check_min_days), "minimum days of data required (default: {})"),
+    "jobs": (_usable_cpus(), _strict(int, fleet_mod.check_jobs),
+             "worker processes (default: the number of CPUs this process may run on)"),
 }
 
 
@@ -145,7 +139,7 @@ def _load_config(path: str | None) -> dict:
         raise MigrentError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise MigrentError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(config) - set(_DEFAULTS))
+    unknown = sorted(set(config) - set(_SETTINGS))
     if unknown:
         raise MigrentError(f"config {path} has unknown keys: {', '.join(unknown)}")
     return config
@@ -157,13 +151,12 @@ class _Settings:
     def __init__(self, args: argparse.Namespace):
         config = _load_config(args.config)
         try:
-            for key, default in _DEFAULTS.items():
+            for key, (default, convert, _) in _SETTINGS.items():
                 if not hasattr(args, key):
                     continue  # another subcommand's setting
                 value = getattr(args, key)
                 if value is None:
                     value = config.get(key, default)
-                convert = _CONVERT.get(key)
                 setattr(self, key, value if convert is None else convert(key, value))
         except ValueError as exc:
             raise MigrentError(str(exc)) from None
@@ -187,34 +180,30 @@ class _Settings:
             raise MigrentError(str(exc)) from None
 
 
-def _shown(values) -> str:
-    """A default tuple as it is typed on the command line."""
-    return ",".join(f"{v:g}" for v in values)
+def _shown(value) -> str:
+    """A default as it is typed on the command line: numbers as %g, a tuple comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(_shown(v) for v in value)
+    return value if isinstance(value, str) else f"{value:g}"
+
+
+def _add_settings(group, keys) -> None:
+    """A ``--key-with-dashes`` flag for each setting; an absent one reads None."""
+    for key in keys:
+        default, _, text = _SETTINGS[key]
+        group.add_argument("--" + key.replace("_", "-"), choices=BASELINES if key == "baseline" else None,
+                           help=text if default is None else text.format(_shown(default)))
 
 
 def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("catalog options")
-    group.add_argument("--catalog", help=f"catalog CSV path (default: ${ENV_CATALOG} or the bundled catalog)")
-    group.add_argument("--cloud-ref", dest="cloud_ref", help="cloud reference CPU model (default: newest cloud entry)")
+    _add_settings(group, ("catalog", "cloud_ref"))
     group.add_argument("--config", help="JSON file supplying defaults for the catalog and analysis options")
 
 
 def _add_analysis_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("analysis options")
-    group.add_argument("--targets",
-                       help=f"comma-separated target utilizations (default: {_shown(_DEFAULTS['targets'])})")
-    group.add_argument("--baseline", choices=BASELINES,
-                       help=f"denominator for auto-scaling fractions (default: {_DEFAULTS['baseline']})")
-    group.add_argument("--idle-fraction", dest="idle_fraction",
-                       help=f"relative power at zero utilization (default: {_DEFAULTS['idle_fraction']:g})")
-    group.add_argument("--linear-mix", dest="linear_mix",
-                       help=f"linear share of the loaded power curve (default: {_DEFAULTS['linear_mix']:g})")
-    group.add_argument("--window-seconds", dest="window_seconds",
-                       help=f"smoothing window for peak estimation (default: {_DEFAULTS['window_seconds']:g})")
-    group.add_argument("--percentile",
-                       help=f"percentile of daily maxima used as the peak (default: {_DEFAULTS['percentile']:g})")
-    group.add_argument("--min-days", dest="min_days",
-                       help=f"minimum days of data required (default: {_DEFAULTS['min_days']})")
+    _add_settings(parser.add_argument_group("analysis options"), (
+        "targets", "baseline", "idle_fraction", "linear_mix", "window_seconds", "percentile", "min_days"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("manifest", help="manifest CSV (machine_id,trace_path,cpu_model,datacenter_id)")
     p_fleet.add_argument("--emit-csv", dest="emit_csv", metavar="DIR",
                          help="also write CDF/table CSVs into DIR")
-    p_fleet.add_argument("--jobs", help="worker processes (default: the number of CPUs this process may run on)")
+    _add_settings(p_fleet, ("jobs",))
     _add_catalog_options(p_fleet)
     _add_analysis_options(p_fleet)
 

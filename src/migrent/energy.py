@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MigrentError
-from .table import read_table
+from .table import parse_number, read_table
 
 DEFAULT_IDLE_FRACTION = 0.33
 DEFAULT_LINEAR_MIX = 0.36
@@ -132,9 +132,11 @@ def load_power_samples(source) -> list[PowerSample]:
     """Parse measured power-curve points from a two-column CSV."""
     samples = []
     for line, row in read_table(source, POWER_SAMPLE_COLUMNS, MigrentError, "power sample"):
+        percent = parse_number(row[0], "utilization_percent", MigrentError, line)
+        power = parse_number(row[1], "relative_power", MigrentError, line)
         try:
-            samples.append(PowerSample(float(row[0]) / 100.0, float(row[1])))
-        except ValueError as exc:
+            samples.append(PowerSample(percent / 100.0, power))
+        except ValueError as exc:  # out of range
             raise MigrentError(str(exc), line=line) from None
     return samples
 

@@ -4,10 +4,11 @@ Trace, catalog, manifest and power-sample files share a layout: a header
 row that must match the expected column names, then data rows with a fixed
 field count, where blank rows are skipped. ``read_table`` checks that
 layout and yields the data rows with their 1-based line numbers, so each
-loader only interprets fields. Every failure, including bytes that are not
-UTF-8 and rows the csv module rejects, is raised as the loader's own error
-class, which fleet runs record in the exclusion ledger. ``write_table``
-writes the same layout for manifests and the fleet report tables.
+loader only interprets fields, a number through ``parse_number``, whose
+error names the column. Every failure, including bytes that are not UTF-8
+and rows the csv module rejects, is raised as the loader's own error class,
+which fleet runs record in the exclusion ledger. ``write_table`` writes the
+same layout for manifests and the fleet report tables.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ def read_table(
         raise error_cls(f"not UTF-8 text ({exc.reason})", line=_bad_byte_line(data)) from None
     except csv.Error as exc:
         raise error_cls(str(exc), line=line + 1) from None
+
+
+def parse_number(text: str, column: str, error_cls: type[MigrentError], line: int) -> float:
+    """``float(text)``; text that is no number raises ``error_cls`` naming ``column`` and ``line``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise error_cls(f"{column} must be a number, got {text!r}", line=line) from None
 
 
 def write_table(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:

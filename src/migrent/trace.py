@@ -167,7 +167,6 @@ _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\n"
 _HEAD_TEMPLATE = b"0000-00-00T00:00:00Z,"
 _PERCENT_TEMPLATE = b"000.0000"  # the widest, "100.0000"; a field is right-aligned in it
 _PERCENT_WIDTHS = (6, 8)
-_SEARCH_BLOCK = 1 << 16  # bytes of a file _newlines scans at once
 
 
 def _word(data) -> np.uint64:
@@ -212,7 +211,7 @@ def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if not data.startswith(_HEADER_LINE.encode()) or not data.endswith(b"\n"):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = _newlines(buf)
+    newlines = np.flatnonzero(buf == 10)
     widths = np.diff(newlines)
     widths -= len(_HEAD_TEMPLATE) + 1  # of the percent fields
     least, most = _PERCENT_WIDTHS
@@ -234,20 +233,6 @@ def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if seconds is None or not (seconds[1:] > seconds[:-1]).all():
         return None
     return seconds, values
-
-
-def _newlines(buf: np.ndarray) -> np.ndarray:
-    """The offsets of every newline in ``buf``.
-
-    The search runs a block at a time, so its byte mask is one block, not
-    the size of the file.
-    """
-    pieces = []
-    for start in range(0, buf.size, _SEARCH_BLOCK):
-        piece = np.flatnonzero(buf[start : start + _SEARCH_BLOCK] == 10)
-        piece += start
-        pieces.append(piece)
-    return np.concatenate(pieces)
 
 
 def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
@@ -277,10 +262,7 @@ def _stamp_seconds(heads: np.ndarray) -> np.ndarray | None:
     zero = np.uint8(ord("0"))
     clock = []  # hour, minute, second
     for tens, limit in ((11, 24), (14, 60), (17, 60)):
-        value = heads[:, tens] - zero
-        value *= np.uint8(10)
-        value += heads[:, tens + 1]
-        value -= zero
+        value = (heads[:, tens] - zero) * np.uint8(10) + (heads[:, tens + 1] - zero)
         if value.max() >= limit:
             return None
         clock.append(value)
@@ -302,12 +284,7 @@ def _stamp_seconds(heads: np.ndarray) -> np.ndarray | None:
     # every sum is of whole numbers far below 2**53, so it is exact in float64
     seconds = np.repeat(days * 86_400.0, np.diff(firsts, append=rows))
     hour, minute, second = clock
-    of_day = hour.astype(np.int32)
-    of_day *= 60
-    of_day += minute
-    of_day *= 60
-    of_day += second
-    seconds += of_day
+    seconds += (hour.astype(np.int32) * 60 + minute) * 60 + second
     return seconds
 
 

@@ -113,6 +113,20 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match=message):
             load_catalog(make_csv(["alpha,300,95,2012-03-01,8,true", row]))
 
+    @pytest.mark.parametrize("row, message", [
+        ("beta,abc,100,2014-05-01,8,false", "spec_score must be a number, got 'abc'"),
+        ("beta,500,,2014-05-01,8,false", "tdp_watts must be a number, got ''"),
+        ("beta,500,100,2014-05-01,4.5,false", "cores must be an integer, got '4.5'"),
+    ])
+    def test_non_numeric_field_names_column_and_line(self, row, message):
+        with pytest.raises(CatalogError, match=f"^line 3: {message}$") as excinfo:
+            load_catalog(make_csv(["alpha,300,95,2012-03-01,8,true", row]))
+        assert excinfo.value.line == 3
+
+    def test_header_only_is_an_error(self):
+        with pytest.raises(CatalogError, match="catalog has no data rows"):
+            load_catalog(make_csv([]))
+
     def test_duplicate_model_rejected(self):
         with pytest.raises(CatalogError, match="duplicate"):
             load_catalog(make_csv([
@@ -160,6 +174,10 @@ class TestLoadCatalog:
     def test_misspelled_cloud_reference_gives_hint(self):
         with pytest.raises(CatalogError, match=r"did you mean: cloud-box\?"):
             load_catalog(make_csv(["cloud-box,300,95,2012-03-01,8,true"]), cloud_reference="cloud-bx")
+
+    def test_catalog_constructor_needs_entries(self):
+        with pytest.raises(CatalogError, match="catalog has no entries"):
+            Catalog([], "cloud-box")
 
     def test_catalog_constructor_gives_hint(self, small_catalog):
         hint = r"'cloud-bx' is not in the catalog \(did you mean: cloud-box, old-box\?\)"

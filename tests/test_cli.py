@@ -337,6 +337,15 @@ class TestFleet:
         code, _, err = run(capsys, "fleet", str(tmp_path / "none.csv"))
         assert code == 2
 
+    def test_csv_dir_under_a_file_exits_2(self, capsys, corpus, tmp_path):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        code, out, err = run(capsys, "fleet", str(corpus / "manifest.csv"), "--emit-csv", str(out_dir))
+        assert (code, out) == (2, "")
+        error = error_payload(err)
+        assert error["type"] == "MigrentError"
+        assert error["message"].startswith(f"cannot create output directory {out_dir}: ")
+
     def test_emit_csv(self, capsys, corpus, tmp_path):
         out_dir = tmp_path / "csv"
         payload = run_json(
@@ -400,6 +409,7 @@ class TestSynth:
         (["--machines", "2.5"], "machines"),
         (["--seed", "-1"], "seed"),
         (["--datacenters", "x"], "datacenters"),
+        (["--base-util", "0.1,0.2,0.3"], "base_utilization"),
     ])
     def test_bad_number_fails_before_any_draw(self, capsys, tmp_path, seed, flags, setting):
         out = tmp_path / "x"
@@ -424,6 +434,15 @@ class TestSynth:
         assert error["type"] == "MigrentError"
         assert error["message"].startswith("start must be ")
         assert not out.exists()
+
+    def test_trace_dir_taken_by_a_file_is_one_json_error(self, capsys, tmp_path):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / "traces").write_text("")
+        code, stdout, err = run(capsys, "synth", "--out", str(out), "--machines", "2", "--datacenters", "1")
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert error_payload(err)["type"] == "FileExistsError"
 
     def test_invalid_period_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "x"), "--periods", "45")
@@ -560,6 +579,17 @@ class TestConfigFile:
         assert error["type"] == "MigrentError"
         assert error["message"].startswith(f"config {config} is not valid JSON: ")
 
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_config_names_the_file(self, capsys, tmp_path, kind):
+        config = tmp_path / "config.json"
+        if kind == "directory":
+            config.mkdir()
+        code, out, err = run(capsys, "fleet", str(tmp_path / "manifest.csv"), "--config", str(config))
+        assert (code, out) == (2, "")
+        error = error_payload(err)
+        assert error["type"] == "MigrentError"
+        assert error["message"].startswith(f"cannot read config {config}: ")
+
     def test_non_object_config_exits_2(self, capsys, data_dir, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")
@@ -577,6 +607,7 @@ class TestConfigFile:
         ({"targets": [True]}, "targets"),
         (["--min-days", "2.5"], "min_days"),
         (["--percentile", "abc"], "percentile"),
+        ({"targets": 0.5}, "targets"),
     ])
     def test_value_of_the_wrong_kind_is_one_json_error(self, capsys, tmp_path, source, setting):
         # booleans are not numbers, and an integer setting does not truncate a fraction
@@ -676,6 +707,26 @@ class TestOptionGroups:
         )
         assert code == 2
         assert "duplicate target utilization 0.8" in error_payload(err)["message"]
+
+    @pytest.mark.parametrize("command", ["analyze", "fleet"])
+    def test_help_shows_every_catalog_and_analysis_default(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "1000")  # no help text is wrapped, at a hyphen or elsewhere
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag, default in (
+            ("--catalog", "$MIGRENT_CATALOG or the bundled catalog"),
+            ("--cloud-ref", "newest cloud entry"),
+            ("--targets", "0.5,0.6,0.7,0.8,0.9"),
+            ("--baseline", "lift-and-shift"),
+            ("--idle-fraction", "0.33"),
+            ("--linear-mix", "0.36"),
+            ("--window-seconds", "300"),
+            ("--percentile", "95"),
+            ("--min-days", "7"),
+        ):
+            entry = help_text.split(f" {flag} ", 1)[1].split(" --", 1)[0]  # the flag's line in the listing
+            assert entry.endswith(f"(default: {default})"), entry
 
     def test_synth_help_shows_the_param_range_defaults(self, capsys):
         with pytest.raises(SystemExit):

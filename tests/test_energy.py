@@ -190,6 +190,16 @@ class TestPowerSamples:
             load_power_samples(stream)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("row, message", [
+        ("abc,0.5", "utilization_percent must be a number, got 'abc'"),
+        ("50,abc", "relative_power must be a number, got 'abc'"),
+    ])
+    def test_load_names_non_numeric_column_and_line(self, row, message):
+        stream = io.StringIO(f"utilization_percent,relative_power\n0,0.33\n{row}\n100,1.0\n")
+        with pytest.raises(MigrentError, match=f"^line 3: {message}$") as excinfo:
+            load_power_samples(stream)
+        assert excinfo.value.line == 3
+
     def test_load_names_bad_line(self):
         stream = io.StringIO("utilization_percent,relative_power\n0,0.33\n150,0.5\n")
         with pytest.raises(MigrentError, match="line 3") as excinfo:

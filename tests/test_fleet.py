@@ -104,6 +104,12 @@ class TestManifest:
             load_manifest(io.StringIO(text))
         assert excinfo.value.line == 3
 
+    def test_blank_machine_id_names_line(self):
+        text = "machine_id,trace_path,cpu_model,datacenter_id\nm1,a.csv,old-box,dc-a\n ,b.csv,old-box,dc-a\n"
+        with pytest.raises(ManifestError, match="line 3: machine_id must be non-empty") as excinfo:
+            load_manifest(io.StringIO(text))
+        assert excinfo.value.line == 3
+
     def test_bad_header(self):
         with pytest.raises(ManifestError, match="header"):
             load_manifest(io.StringIO("id,path\nm1,a.csv\n"))

@@ -348,6 +348,8 @@ class TestAnalyzeMachine:
                     autoscale_ideal_fraction(trace, target, model, baseline),
                     autoscale_hourly_fraction(trace, target, model, baseline),
                 ], (baseline, target)
+        with pytest.raises(KeyError, match="target 0.3 not in report for m-1"):
+            report.scenario_value("combined", 0.3)
 
     def test_both_baselines_reported(self, model, small_catalog, record):
         report = analyze_machine(record, [0.8], model, small_catalog)

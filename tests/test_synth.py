@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migrent import (
+    Catalog,
     ParamRanges,
     SynthParams,
     bundled_catalog,
@@ -157,6 +158,12 @@ class TestGenerateFleet:
         assert {m.cpu_model for m in fleet} <= on_prem
         assert len({m.cpu_model for m in fleet}) > 1
 
+    def test_catalog_of_cloud_entries_only_supplies_every_model(self):
+        clouds = [spec for spec in bundled_catalog() if spec.cloud]
+        catalog = Catalog(clouds, clouds[0].model_name)
+        fleet = generate_fleet(3, 30, 4, catalog=catalog)
+        assert {m.cpu_model for m in fleet} == {spec.model_name for spec in clouds}
+
     def test_parameters_respect_ranges(self):
         ranges = ParamRanges(
             duration_days=(8, 9),
@@ -215,6 +222,8 @@ class TestGenerateFleet:
             ParamRanges(base_utilization=(0.6, 0.2))
         with pytest.raises(ValueError):
             ParamRanges(sample_periods=(45,))
+        with pytest.raises(ValueError, match="sample_periods must not be empty"):
+            ParamRanges(sample_periods=())
 
 
 class TestWriteFleet:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from migrent import (
+    DailyMaxima,
     InsufficientDataError,
     TraceError,
     UtilizationTrace,
@@ -447,6 +448,11 @@ class TestTraceInvariants:
         with pytest.raises(TraceError):
             make_trace([0.0], [0.5])
 
+    @pytest.mark.parametrize("times, values", [([0.0, 1.0, 2.0], [0.5, 0.5]), ([[0.0, 1.0]], [[0.5, 0.5]])])
+    def test_arrays_must_be_1d_and_of_equal_length(self, times, values):
+        with pytest.raises(TraceError, match="1-d arrays of equal length"):
+            make_trace(times, values)
+
     def test_strictly_increasing_required(self):
         with pytest.raises(TraceError, match="increasing"):
             make_trace([0.0, 0.0], [0.5, 0.5])
@@ -578,11 +584,19 @@ class TestDailyMaxima:
         assert len(maxima) == 2
         assert maxima.dates == (dt.date(2016, 6, 1), dt.date(2016, 6, 3))
 
+    def test_dates_and_values_must_pair_up(self):
+        with pytest.raises(ValueError, match="equal length"):
+            DailyMaxima((dt.date(2016, 6, 1),), [0.2, 0.6])
+
 
 class TestPeakUtilization:
     def test_nearest_rank_20_values(self):
         values = [i / 20 for i in range(1, 21)]
         assert nearest_rank(values, 95.0) == 0.95
+
+    def test_nearest_rank_needs_a_value(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            nearest_rank([], 95.0)
 
     def test_all_equal(self):
         maxima = daily_maxima(constant_trace(0.7, days=9.0))
@@ -633,6 +647,10 @@ class TestIntegrate:
         trace = make_trace([0.0, 10.0], [0.0, 1.0])
         assert integrate(trace) == pytest.approx(5.0, abs=1e-12)
 
+    def test_pointwise_must_keep_the_shape(self):
+        with pytest.raises(ValueError, match="preserve the array shape"):
+            integrate(make_trace([0.0, 10.0], [0.0, 1.0]), lambda u: u[:1])
+
     def test_energy_curve_on_constant(self, model):
         from migrent import relative_power
 
@@ -673,6 +691,11 @@ class TestIntegrate:
 class TestCoverageGaps:
     def test_no_gaps(self):
         assert coverage_gaps(constant_trace(0.5, days=0.2, period=30.0)) == []
+
+    @pytest.mark.parametrize("max_gap", [0.0, -1.0, math.nan])
+    def test_max_gap_must_be_positive(self, max_gap):
+        with pytest.raises(ValueError, match="max_gap_seconds must be positive"):
+            coverage_gaps(constant_trace(0.5, days=0.2, period=30.0), max_gap)
 
     def test_finds_long_gap(self):
         t = POSIX_2016_06_01 + np.array([0.0, 30.0, 30.0 + 7200.0, 30.0 + 7230.0])
