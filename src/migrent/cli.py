@@ -332,7 +332,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         start = synth_mod.check_start(args.start, fleet)
     except ValueError as exc:
         raise MigrentError(str(exc)) from None
-    _ensure_writable_dir(args.out)
+    _ensure_writable_dir(_ensure_writable_dir(args.out) / "traces")  # write_fleet puts every trace there
     manifest = synth_mod.write_fleet(fleet, args.out, start=start)
     print(f"wrote {len(fleet)} traces across {datacenters} datacenters; manifest at {manifest}")
     return EXIT_OK

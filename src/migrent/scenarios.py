@@ -41,7 +41,7 @@ import numpy as np
 
 from .catalog import Catalog, CpuSpec, lift_and_shift_fraction
 from .energy import EnergyModel, power_unchecked
-from .errors import IdleMachineError, TraceError
+from .errors import IdleMachineError, MigrentError, TraceError
 from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
@@ -267,40 +267,38 @@ def _sample_moments(trace: UtilizationTrace) -> _Moments:
     return _sorted_moments(trace.machine_id, trace.values, weights)
 
 
-def _capacity_energy(moments: _Moments, model: EnergyModel, capacity: float) -> float:
+def _capacity_energy(moments: _Moments, model: EnergyModel, capacity):
     """The sum of w·c·power(min(u / c, 1)) at capacity c, from the moments.
 
     Below c, c·power(u / c) = a·c + (1 − a)·(m·u + (1 − m)·u² / c), which is
-    linear in 1, u and u²; values above c run at full power, c.
+    linear in 1, u and u²; values above c run at full power, c. ``capacity``
+    may be an array: one search and the same elementwise arithmetic, so each
+    energy has the bits of a query at that capacity alone.
     """
     a = model.idle_fraction
     m = model.linear_mix
-    k = int(moments.sorted_u.searchsorted(capacity, side="right"))
+    k = moments.sorted_u.searchsorted(capacity, side="right")
     loaded = m * moments.lo_u[k] + (1.0 - m) * moments.lo_uu[k] / capacity
     below = a * capacity * moments.lo_w[k] + (1.0 - a) * loaded
-    return float(below + capacity * moments.hi_w[k])
+    return below + capacity * moments.hi_w[k]
 
 
-def _on_prem_energy(moments: _Moments, model: EnergyModel) -> float:
-    """Trapezoid energy of the unresized machine, the lift-and-shift baseline."""
-    return _capacity_energy(moments, model, 1.0)
-
-
-def _resized_energy(moments: _Moments, model: EnergyModel, peak: float, target: float) -> float:
+def _resized_energy(moments: _Moments, model: EnergyModel, peak: float, target):
     """Trapezoid energy of the static instance of capacity c = peak / target."""
     if peak == 0.0:
         raise IdleMachineError(f"{moments.machine_id}: peak utilization is 0, static resizing is undefined")
     return _capacity_energy(moments, model, peak / target)
 
 
-def _ideal_energy(model: EnergyModel, target: float, demand: float) -> float:
-    """Energy of an instance that always runs at ``target``, for ``demand`` value-seconds of work."""
-    return (power_unchecked(model, target) / target) * demand
+def _ratio(numerator, denominator, machine_id: str) -> np.ndarray:
+    """``numerator / denominator`` elementwise, but 0.0 for a zero numerator even over a zero denominator.
 
-
-def _ratio(numerator: float, denominator: float) -> float:
-    """``numerator / denominator``, but 0.0 for a zero numerator even over a zero denominator."""
-    return numerator / denominator if numerator != 0.0 else 0.0
+    A non-zero numerator over a zero denominator raises ``MigrentError``.
+    """
+    nonzero = np.not_equal(numerator, 0.0)
+    if (nonzero & np.equal(denominator, 0.0)).any():
+        raise MigrentError(f"{machine_id}: a baseline energy is 0 but the energy over it is not, no fraction exists")
+    return np.divide(numerator, denominator, out=np.zeros(np.shape(nonzero)), where=nonzero)
 
 
 def _baseline_energy(
@@ -309,7 +307,7 @@ def _baseline_energy(
     """Denominator of an auto-scaling fraction; the static baseline estimates a missing peak."""
     moments = _sample_moments(trace)
     if baseline == BASELINE_LIFT_AND_SHIFT:
-        return _on_prem_energy(moments, model)
+        return _capacity_energy(moments, model, 1.0)
     peak = estimate_peak(trace) if peak is None else _check_peak(peak)
     return _resized_energy(moments, model, peak, target)
 
@@ -329,7 +327,8 @@ def static_resize_fraction(
     """
     target, peak = _check_target(target), _check_peak(peak)
     moments = _sample_moments(trace)
-    return _resized_energy(moments, model, peak, target) / _on_prem_energy(moments, model)
+    resized = _resized_energy(moments, model, peak, target)
+    return float(_ratio(resized, _capacity_energy(moments, model, 1.0), trace.machine_id))
 
 
 def combined_fraction(
@@ -366,7 +365,8 @@ def autoscale_ideal_fraction(
     """
     target = _check_target(target)
     denominator = _baseline_energy(trace, model, check_baseline(baseline), target, peak)
-    return _ratio(_ideal_energy(model, target, integrate(trace)), denominator)
+    numerator = (power_unchecked(model, target) / target) * integrate(trace)
+    return float(_ratio(numerator, denominator, trace.machine_id))
 
 
 def hourly_capacities(trace: UtilizationTrace, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -472,11 +472,6 @@ def _hour_moments(trace: UtilizationTrace) -> _Moments:
     return _sorted_moments(trace.machine_id, high_v, high_w, base)
 
 
-def _hourly_energy(hours: _Moments, target: float, model: EnergyModel) -> float:
-    """Trapezoid energy of the hourly-rescaled instance over the whole trace."""
-    return _capacity_energy(hours, model, 1.0 / target)
-
-
 def autoscale_hourly_fraction(
     trace: UtilizationTrace,
     target: float,
@@ -492,7 +487,8 @@ def autoscale_hourly_fraction(
     """
     target = _check_target(target)
     denominator = _baseline_energy(trace, model, check_baseline(baseline), target, peak)
-    return _ratio(_hourly_energy(_hour_moments(trace), target, model), denominator)
+    numerator = _capacity_energy(_hour_moments(trace), model, 1.0 / target)
+    return float(_ratio(numerator, denominator, trace.machine_id))
 
 
 def _gap_warnings(trace: UtilizationTrace) -> tuple[str, ...]:
@@ -512,37 +508,37 @@ def machine_columns(
     percentile: float = DEFAULT_PERCENTILE,
     min_days: int = DEFAULT_MIN_DAYS,
 ) -> MachineColumns:
-    """:func:`analyze_machine`'s results as numbers, the form a fleet worker sends back."""
-    baseline = check_baseline(baseline)
-    targets = check_targets(targets)
+    """:func:`analyze_machine`'s results as numbers, the form a fleet worker sends back.
 
+    ``targets`` and ``baseline`` must already be checked. All targets are evaluated in one array pass.
+    """
     on_prem = catalog.lookup(machine.on_prem_cpu)
     ls = lift_and_shift_fraction(on_prem, catalog.cloud_spec)
     trace = machine.trace
     peak = estimate_peak(trace, window_seconds, percentile, min_days)
     idle = peak == 0.0
 
-    demand = integrate(trace)
-    hours = _hour_moments(trace)  # first, so the split's temporaries are freed before the sort
+    mid = machine.machine_id
+    tg = np.array(targets, dtype=np.float64)
+    # the ideal and hourly numerators, a row each; the hours before the samples,
+    # so the split's temporaries are freed before the sort
+    nums = np.stack(((power_unchecked(model, tg) / tg) * integrate(trace),
+                     _capacity_energy(_hour_moments(trace), model, 1.0 / tg)))
     moments = _sample_moments(trace)
-    den_ls = _on_prem_energy(moments, model)
+    den_ls = _capacity_energy(moments, model, 1.0)
+    vs_ls = _ratio(nums, den_ls, mid)
+    if idle:
+        static = combined = np.full(tg.size, np.nan)  # NaN is None in the report
+        vs_sr = np.full(nums.shape, np.nan)
+    else:
+        den_sr = _resized_energy(moments, model, peak, tg)
+        static, vs_sr = _ratio(den_sr, den_ls, mid), _ratio(nums, den_sr, mid)
+        combined = ls * static
+    chosen = vs_ls if baseline == BASELINE_LIFT_AND_SHIFT else vs_sr
 
-    rows = []
-    for target in targets:
-        num_ideal = _ideal_energy(model, target, demand)
-        num_hourly = _hourly_energy(hours, target, model)
-        vs_ls = (_ratio(num_ideal, den_ls), _ratio(num_hourly, den_ls))
-        static, combined, vs_sr = None, None, (None, None)
-        if not idle:
-            den_sr = _resized_energy(moments, model, peak, target)
-            static = den_sr / den_ls
-            combined, vs_sr = ls * static, (_ratio(num_ideal, den_sr), _ratio(num_hourly, den_sr))
-        chosen = vs_ls if baseline == BASELINE_LIFT_AND_SHIFT else vs_sr
-        rows.append((static, combined, *chosen, *vs_ls, *vs_sr))  # the columns of MachineColumns
-
-    shell = ScenarioReport(machine.machine_id, machine.on_prem_cpu, machine.datacenter_id, baseline,
+    shell = ScenarioReport(mid, machine.on_prem_cpu, machine.datacenter_id, baseline,
                            peak, idle, ls, (), _gap_warnings(trace))
-    return MachineColumns(shell, np.array(rows, dtype=np.float64))  # None becomes NaN
+    return MachineColumns(shell, np.column_stack((static, combined, *chosen, *vs_ls, *vs_sr)))
 
 
 def analyze_machine(
@@ -561,5 +557,6 @@ def analyze_machine(
     their resize-based scenarios are ``None`` and auto-scaling is reported
     against the lift-and-shift baseline only.
     """
+    targets, baseline = check_targets(targets), check_baseline(baseline)
     columns = machine_columns(machine, targets, model, catalog, baseline, window_seconds, percentile, min_days)
-    return columns.to_report(check_targets(targets))
+    return columns.to_report(targets)

@@ -462,8 +462,9 @@ def smooth(trace: UtilizationTrace, window_seconds: float = DEFAULT_WINDOW_SECON
     smoothed = cum.take(js)
     np.subtract(cum, smoothed, out=smoothed)  # the full segments inside each window
     del cum
-    head = t.take(js)
-    head -= starts
+    head = t.take(js)  # the partial segment's length as (t[js] - t) + window, which rounds once
+    head -= t
+    head += window
     np.take(u, js, out=starts, mode="clip")  # cum.take checked js; "clip" fills out without a copy
     head *= starts  # the partial segment at each window's start
     del js, starts

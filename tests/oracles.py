@@ -269,3 +269,47 @@ def hour_moments_ref(t, u):
 def hourly_capacities_ref(t, u, target: float):
     first_hour, hour_max, _ = hourly_split_ref(t, u)
     return (first_hour + np.arange(hour_max.size)) * HOUR, hour_max / target
+
+
+# The per-machine columns as the kernel first built them: a Python loop over
+# the targets, one scalar query of the moments per energy. The package now
+# evaluates all targets in one array pass; this pins its bits.
+
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2 renamed trapz
+
+
+def capacity_energy_ref(moments, a: float, m: float, capacity: float) -> float:
+    """The energy at one capacity from (sorted_u, lo_w, lo_u, lo_uu, hi_w)."""
+    sorted_u, lo_w, lo_u, lo_uu, hi_w = moments
+    k = int(sorted_u.searchsorted(capacity, side="right"))
+    loaded = m * lo_u[k] + (1.0 - m) * lo_uu[k] / capacity
+    return float(a * capacity * lo_w[k] + (1.0 - a) * loaded + capacity * hi_w[k])
+
+
+def _ratio_ref(numerator: float, denominator: float) -> float:
+    """0.0 for a zero numerator, even over 0; a non-zero one over 0 raises ZeroDivisionError."""
+    return numerator / denominator if numerator != 0.0 else 0.0
+
+
+def machine_values_ref(t, u, targets, a: float, m: float, peak: float, ls: float,
+                       baseline: str = "lift-and-shift") -> np.ndarray:
+    """``MachineColumns.values``: a row per target of static_resize, combined,
+    the chosen baseline's ideal and hourly fractions, then both baselines'.
+    An idle machine (peak 0) has NaN for every value resized to its peak."""
+    samples, hours = sample_moments_ref(t, u), hour_moments_ref(t, u)
+    demand = float(_trapezoid(u, t))
+    den_ls = capacity_energy_ref(samples, a, m, 1.0)
+    rows = []
+    for target in targets:
+        num_ideal = ((a + (1.0 - a) * (m * target + (1.0 - m) * target * target)) / target) * demand
+        num_hourly = capacity_energy_ref(hours, a, m, 1.0 / target)
+        vs_ls = (_ratio_ref(num_ideal, den_ls), _ratio_ref(num_hourly, den_ls))
+        static = combined = math.nan
+        vs_sr = (math.nan, math.nan)
+        if peak != 0.0:
+            den_sr = capacity_energy_ref(samples, a, m, peak / target)
+            static = _ratio_ref(den_sr, den_ls)
+            combined, vs_sr = ls * static, (_ratio_ref(num_ideal, den_sr), _ratio_ref(num_hourly, den_sr))
+        chosen = vs_ls if baseline == "lift-and-shift" else vs_sr
+        rows.append((static, combined, *chosen, *vs_ls, *vs_sr))
+    return np.array(rows, dtype=np.float64)

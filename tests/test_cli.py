@@ -21,6 +21,7 @@ import migrent
 from migrent import write_trace
 from migrent.cli import _usable_cpus, main
 from migrent.report import dumps_stable
+from migrent.trace import format_timestamp
 
 from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace
 
@@ -40,7 +41,15 @@ def data_dir(tmp_path_factory):
     write_trace(constant_trace(0.4, days=8.0, machine_id="const-04"), d / "const-04.csv")
     write_trace(constant_trace(0.4, days=3.0, machine_id="short"), d / "short.csv")
     write_trace(constant_trace(0.0, days=8.0, machine_id="idle"), d / "idle.csv")
+    # 8 days at 5 minutes, every percent 1e-168: with idle fraction 0 and the
+    # square curve, u² underflows and the on-premises energy is 0, demand not
+    stamps = POSIX_2016_06_01 + 300.0 * np.arange(8 * 288 + 1)
+    rows = "".join(f"{format_timestamp(s)},1e-168\n" for s in stamps)
+    (d / "tiny.csv").write_text("timestamp,cpu_utilization_percent\n" + rows)
     return d
+
+
+ZERO_BASELINE_MODEL = ("--idle-fraction", "0", "--linear-mix", "0")
 
 
 def run(capsys, *argv):
@@ -127,6 +136,18 @@ class TestAnalyze:
         payload = error_payload(err)
         assert payload["type"] == "TraceError"
         assert "below the timestamps' resolution" in payload["message"]
+
+    def test_zero_baseline_energy_exits_2(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "analyze", str(data_dir / "tiny.csv"), "old-box",
+            "--catalog", str(data_dir / "catalog.csv"), *ZERO_BASELINE_MODEL,
+        )
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert error_payload(err) == {
+            "type": "MigrentError",
+            "message": "tiny: a baseline energy is 0 but the energy over it is not, no fraction exists",
+        }
 
     def test_short_trace_exits_3(self, capsys, data_dir):
         code, _, err = run(
@@ -253,6 +274,20 @@ class TestFleet:
         payload = run_json(capsys, "fleet", str(manifest), "--targets", "0.8", "--jobs", "1")
         assert payload["machines_analyzed"] == 1
         assert [e["machine_id"] for e in payload["exclusions"]] == ["bad"]
+
+    def test_zero_baseline_energy_is_excluded(self, capsys, corpus, data_dir, tmp_path):
+        (tmp_path / "tiny.csv").symlink_to(data_dir / "tiny.csv")
+        (tmp_path / "good.csv").symlink_to(corpus / "traces" / "m0000.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "machine_id,trace_path,cpu_model,datacenter_id\n"
+            "good,good.csv,fx-quad-2011,dc000\n"
+            "tiny,tiny.csv,fx-quad-2011,dc000\n"
+        )
+        payload = run_json(capsys, "fleet", str(manifest), "--targets", "0.8", "--jobs", "1", *ZERO_BASELINE_MODEL)
+        assert [m["machine_id"] for m in payload["machines"]] == ["good"]
+        assert [e["machine_id"] for e in payload["exclusions"]] == ["tiny"]
+        assert payload["exclusions"][0]["reason"].startswith("tiny: a baseline energy is 0")
 
     def test_implausible_span_is_excluded(self, capsys, corpus, tmp_path):
         write_trace(far_stamp_trace(), tmp_path / "far.csv")
@@ -442,7 +477,10 @@ class TestSynth:
         code, stdout, err = run(capsys, "synth", "--out", str(out), "--machines", "2", "--datacenters", "1")
         assert (code, stdout) == (2, "")
         assert len(err.splitlines()) == 1
-        assert error_payload(err)["type"] == "FileExistsError"
+        error = error_payload(err)
+        assert error["type"] == "MigrentError"  # as for fleet --emit-csv under a file
+        assert error["message"].startswith(f"cannot create output directory {out / 'traces'}: ")
+        assert [p.name for p in out.iterdir()] == ["traces"]  # nothing written
 
     def test_invalid_period_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "x"), "--periods", "45")

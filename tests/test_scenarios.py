@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from migrent import (
@@ -16,6 +16,7 @@ from migrent import (
     IdleMachineError,
     InsufficientDataError,
     MachineRecord,
+    MigrentError,
     SynthParams,
     TraceError,
     analyze_machine,
@@ -34,9 +35,8 @@ from migrent import (
 )
 from migrent.scenarios import (
     _MAX_HOURS,
+    _capacity_energy,
     _hour_moments,
-    _hourly_energy,
-    _on_prem_energy,
     _resized_energy,
     _sample_moments,
     machine_columns,
@@ -49,6 +49,7 @@ from oracles import (
     hourly_capacities_ref,
     hourly_fraction_ref,
     ideal_fraction_ref,
+    machine_values_ref,
     random_walk_trace,
     sample_moments_ref,
     smooth_vectorized_ref,
@@ -391,6 +392,20 @@ class TestAnalyzeMachine:
         assert row.autoscale_vs[BASELINE_STATIC_RESIZED]["ideal"] is None
         assert report.lift_and_shift > 0.0
 
+    def test_zero_baseline_energy_under_nonzero_energy_is_an_error(self, small_catalog):
+        # with idle fraction 0 and the square curve, u² of 1e-170 underflows: the
+        # on-premises energy is 0 while the ideal and hourly energies are not
+        trace = constant_trace(1e-170, machine_id="tiny")
+        model = EnergyModel(0.0, 0.0)
+        record = MachineRecord("tiny", trace, "old-box")
+        for call in (lambda: analyze_machine(record, [0.5, 0.8], model, small_catalog),
+                     lambda: autoscale_ideal_fraction(trace, 0.8, model),
+                     lambda: autoscale_hourly_fraction(trace, 0.8, model)):
+            with pytest.raises(MigrentError, match="^tiny: a baseline energy is 0 but"):
+                call()
+        # the resized energy underflows too, and 0 / 0 is 0.0
+        assert static_resize_fraction(trace, 0.8, model, peak=1e-170) == 0.0
+
     def test_record_trace_mismatch_rejected(self):
         trace = constant_trace(0.4, machine_id="other")
         with pytest.raises(ValueError, match="other"):
@@ -505,13 +520,13 @@ def assert_moment_kernel_matches(trace, model, peak, targets):
     t, u = trace.times, trace.values
     a, m = model.idle_fraction, model.linear_mix
     moments, hours = _sample_moments(trace), _hour_moments(trace)
-    assert _on_prem_energy(moments, model) == pytest.approx(per_sample_energy(t, u, a, m, 1.0), rel=1e-12)
+    assert _capacity_energy(moments, model, 1.0) == pytest.approx(per_sample_energy(t, u, a, m, 1.0), rel=1e-12)
     for target in targets:
         if peak > 0.0:
             want = per_sample_energy(t, u, a, m, peak / target)
             assert _resized_energy(moments, model, peak, target) == pytest.approx(want, rel=1e-12), target
         want, hour_max = per_segment_hourly_energy(t, u, a, m, target)
-        assert _hourly_energy(hours, target, model) == pytest.approx(want, rel=1e-12), target
+        assert _capacity_energy(hours, model, 1.0 / target) == pytest.approx(want, rel=1e-12), target
         assert np.array_equal(hourly_capacities(trace, target)[1], hour_max / target)
 
 
@@ -651,3 +666,26 @@ class TestKernelMatchesReferenceBits:
                                   for hours, values in gappy]
         for trace in traces:
             self.assert_same_bits(trace, 0.5)
+
+
+class TestArrayPassMatchesTargetLoop:
+    """machine_columns' one array pass over the targets against the per-target loop, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        trace=st.one_of(hour_block_traces(), long_traces()),
+        idle_machine=st.booleans(),
+        targets=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=12),  # 1 / target overflows near 1e-308
+        idle=st.sampled_from([0.0, 0.33, 0.9]),
+        mix=st.sampled_from([0.0, 0.36, 1.0]),
+        baseline=st.sampled_from(BASELINES),
+    )
+    def test_values_are_the_loops_bits(self, small_catalog, trace, idle_machine, targets, idle, mix, baseline):
+        if idle_machine:
+            trace = make_trace(trace.times, np.zeros(len(trace)), machine_id=trace.machine_id)
+        record = MachineRecord(trace.machine_id, trace, "old-box")
+        got = machine_columns(record, targets, EnergyModel(idle, mix), small_catalog, baseline, min_days=1)
+        peak, ls = got.machine.peak_utilization, got.machine.lift_and_shift
+        assert peak == 0.0 or not idle_machine
+        want = machine_values_ref(trace.times, trace.values, targets, idle, mix, peak, ls, baseline)
+        assert got.values.tobytes() == want.tobytes()

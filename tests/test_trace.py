@@ -278,7 +278,7 @@ class TestColumnParseMatchesRowLoop:
         finally:
             tracemalloc.stop()
         assert _parse_canonical(path.read_bytes()) is not None
-        assert peak <= 3 * path.stat().st_size  # about 2.74 times the file
+        assert peak <= 3 * path.stat().st_size  # about 2.82 times the file
 
 
 class TestWriteMatchesFormatTimestamp:
@@ -518,6 +518,23 @@ class TestSmooth:
     def test_window_below_one_resolution_works_at_finer_one(self):
         trace = make_trace([0.0, 1.0, 2.0], [0.1, 0.9, 0.4])  # resolved to 4.4e-16 s
         assert np.allclose(smooth(trace, 1e-10).values, trace.values, rtol=1e-5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.floats(1e-6, 1.0),
+        start=st.floats(-3e9, 3e9),
+        period=st.sampled_from([0.37, 30.0, 617.3]),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_constant_trace_keeps_its_value_below_the_spacing(self, value, start, period, share):
+        # fractional stamps and a window from the stamps' resolution up to half
+        # the spacing: only the partial segment counts, and its length must keep
+        # the window's bits, not those of t - (t - window)
+        t = start + period * np.arange(40)
+        resolution = float(np.spacing(max(abs(t[0]), abs(t[-1]))))
+        window = resolution * (0.5 * period / resolution) ** share
+        smoothed = smooth(make_trace(t, np.full(t.size, value)), window).values
+        assert np.abs(smoothed - value).max() <= np.spacing(value)
 
     def test_matches_brute_force_on_random_traces(self):
         rng = np.random.default_rng(7)
