@@ -18,9 +18,18 @@ from importlib import resources
 from typing import Iterator, Mapping
 
 from .errors import CatalogError
-from .table import parse_number, read_table
+from .table import keyed_rows, parse_field, read_table
 
 CATALOG_COLUMNS = ("model_name", "spec_score", "tdp_watts", "release_date", "cores", "cloud")
+
+# the value columns after model_name: how each field converts and what a bad one must be
+_VALUE_FIELDS = (
+    (float, "a number"),
+    (float, "a number"),
+    (lambda text: dt.date.fromisoformat(text.strip()), "YYYY-MM-DD"),
+    (int, "an integer"),
+    (lambda text: ("false", "true").index(text.strip().lower()) == 1, "'true' or 'false'"),
+)
 
 
 @dataclass(frozen=True)
@@ -121,15 +130,6 @@ class Catalog:
         return lift_and_shift_fraction(self.lookup(model_name), self.cloud_spec)
 
 
-def _parse_bool(text: str, line: int) -> bool:
-    lowered = text.strip().lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    raise CatalogError(f"cloud must be 'true' or 'false', got {text!r}", line=line)
-
-
 def load_catalog(source, cloud_reference: str | None = None) -> Catalog:
     """Parse a catalog CSV into a :class:`Catalog`.
 
@@ -139,29 +139,14 @@ def load_catalog(source, cloud_reference: str | None = None) -> Catalog:
     by model name).
     """
     entries: dict[str, CpuSpec] = {}
-    seen_lines: dict[str, int] = {}
-    for line, row in read_table(source, CATALOG_COLUMNS, CatalogError, "catalog"):
-        name = row[0].strip()
-        if name in entries:
-            raise CatalogError(
-                f"duplicate model {name!r} (first defined on line {seen_lines[name]})", line=line
-            )
-        score = parse_number(row[1], "spec_score", CatalogError, line)
-        tdp = parse_number(row[2], "tdp_watts", CatalogError, line)
+    rows = keyed_rows(read_table(source, CATALOG_COLUMNS, CatalogError, "catalog"), "model_name", CatalogError)
+    for line, name, row in rows:
+        values = [parse_field(text, convert, column, what, CatalogError, line)
+                  for text, column, (convert, what) in zip(row[1:], CATALOG_COLUMNS[1:], _VALUE_FIELDS)]
         try:
-            released = dt.date.fromisoformat(row[3].strip())
-        except ValueError:
-            raise CatalogError(f"release_date must be YYYY-MM-DD, got {row[3]!r}", line=line) from None
-        try:
-            cores = int(row[4])
-        except ValueError:
-            raise CatalogError(f"cores must be an integer, got {row[4]!r}", line=line) from None
-        is_cloud = _parse_bool(row[5], line)
-        try:
-            entries[name] = CpuSpec(name, score, tdp, released, cores, is_cloud)
+            entries[name] = CpuSpec(name, *values)
         except CatalogError as exc:
             raise CatalogError(str(exc), line=line) from None
-        seen_lines[name] = line
 
     if not entries:
         raise CatalogError("catalog has no data rows")

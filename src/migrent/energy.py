@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MigrentError
-from .table import parse_number, read_table
+from .table import parse_field, read_table
 
 DEFAULT_IDLE_FRACTION = 0.33
 DEFAULT_LINEAR_MIX = 0.36
@@ -132,8 +132,8 @@ def load_power_samples(source) -> list[PowerSample]:
     """Parse measured power-curve points from a two-column CSV."""
     samples = []
     for line, row in read_table(source, POWER_SAMPLE_COLUMNS, MigrentError, "power sample"):
-        percent = parse_number(row[0], "utilization_percent", MigrentError, line)
-        power = parse_number(row[1], "relative_power", MigrentError, line)
+        percent = parse_field(row[0], float, "utilization_percent", "a number", MigrentError, line)
+        power = parse_field(row[1], float, "relative_power", "a number", MigrentError, line)
         try:
             samples.append(PowerSample(percent / 100.0, power))
         except ValueError as exc:  # out of range

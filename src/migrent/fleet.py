@@ -30,7 +30,7 @@ from .scenarios import (
     check_targets,
     machine_columns,
 )
-from .table import read_table, write_table
+from .table import keyed_rows, read_table, write_table
 from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
@@ -68,18 +68,8 @@ class Exclusion:
 
 def load_manifest(source) -> list[ManifestEntry]:
     """Parse a fleet manifest CSV; machine ids must be unique."""
-    entries: list[ManifestEntry] = []
-    seen: dict[str, int] = {}
-    for line, row in read_table(source, MANIFEST_COLUMNS, ManifestError, "manifest"):
-        machine_id = row[0].strip()
-        if not machine_id:
-            raise ManifestError("machine_id must be non-empty", line=line)
-        if machine_id in seen:
-            raise ManifestError(
-                f"duplicate machine_id {machine_id!r} (first on line {seen[machine_id]})", line=line
-            )
-        seen[machine_id] = line
-        entries.append(ManifestEntry(machine_id, row[1].strip(), row[2].strip(), row[3].strip()))
+    rows = keyed_rows(read_table(source, MANIFEST_COLUMNS, ManifestError, "manifest"), "machine_id", ManifestError)
+    entries = [ManifestEntry(machine_id, *(f.strip() for f in row[1:])) for _, machine_id, row in rows]
     if not entries:
         raise ManifestError("manifest has no data rows")
     return entries
@@ -288,18 +278,13 @@ def group_by_size(reports: Sequence[ScenarioReport], bin_count: int = DEFAULT_SI
     n = len(dc_rows)
     if n == 0:  # every bin would be empty
         return []
-    bins = min(bin_count, n)
-    base, remainder = divmod(n, bins)
     out = []
-    cursor = 0
-    for b in range(bins):
-        width = base + (1 if b < remainder else 0)
-        chunk = dc_rows[cursor:cursor + width]
-        cursor += width
+    for b, rows in enumerate(np.array_split(np.arange(n), min(bin_count, n)), start=1):
+        chunk = [dc_rows[i] for i in rows]
         fractions = [row[2] for row in chunk]
         out.append(
             {
-                "bin": b + 1,
+                "bin": b,
                 "datacenters": len(chunk),
                 "machines": sum(row[0] for row in chunk),
                 "mean": float(np.mean(fractions)),

@@ -67,6 +67,7 @@ SCENARIO_NAMES = (
 
 _SECONDS_PER_HOUR = 3600.0
 _MAX_HOURS = 10 * 366 * 24  # about ten years; bounds _hourly_split's per-hour arrays
+MIN_TARGET = 1e-6  # fractions grow like 1/target and fleet sums like machines/target
 
 
 @dataclass(frozen=True)
@@ -194,11 +195,13 @@ class MachineColumns:
 def _check_target(target: float) -> float:
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target utilization must be in (0, 1], got {target}")
+    if target < MIN_TARGET:
+        raise ValueError(f"target utilization must be at least {MIN_TARGET:g}, got {target}")
     return float(target)
 
 
 def check_targets(targets: Sequence[float]) -> list[float]:
-    """The target utilizations as floats: at least one, each in (0, 1]."""
+    """The target utilizations as floats: at least one, each in [``MIN_TARGET``, 1]."""
     checked = [_check_target(t) for t in targets]
     if not checked:
         raise ValueError("at least one target utilization is required")

@@ -4,11 +4,13 @@ Trace, catalog, manifest and power-sample files share a layout: a header
 row that must match the expected column names, then data rows with a fixed
 field count, where blank rows are skipped. ``read_table`` checks that
 layout and yields the data rows with their 1-based line numbers, so each
-loader only interprets fields, a number through ``parse_number``, whose
-error names the column. Every failure, including bytes that are not UTF-8
-and rows the csv module rejects, is raised as the loader's own error class,
-which fleet runs record in the exclusion ledger. ``write_table`` writes the
-same layout for manifests and the fleet report tables.
+loader only interprets fields, each through ``parse_field``, whose error
+names the column. ``keyed_rows`` holds the rule for tables keyed by their
+first column (catalog, manifest): a non-empty key that no earlier row used.
+Every failure, including bytes that are not UTF-8 and rows the csv module
+rejects, is raised as the loader's own error class, which fleet runs record
+in the exclusion ledger. ``write_table`` writes the same layout for
+manifests and the fleet report tables.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import MigrentError
 
@@ -73,12 +75,26 @@ def read_table(
         raise error_cls(str(exc), line=line + 1) from None
 
 
-def parse_number(text: str, column: str, error_cls: type[MigrentError], line: int) -> float:
-    """``float(text)``; text that is no number raises ``error_cls`` naming ``column`` and ``line``."""
+def parse_field(text: str, convert: Callable, column: str, what: str, error_cls: type[MigrentError], line: int):
+    """``convert(text)``; its ``ValueError`` raises ``error_cls``: ``<column> must be <what>, got '<text>'``."""
     try:
-        return float(text)
+        return convert(text)
     except ValueError:
-        raise error_cls(f"{column} must be a number, got {text!r}", line=line) from None
+        raise error_cls(f"{column} must be {what}, got {text!r}", line=line) from None
+
+
+def keyed_rows(rows: Iterable[tuple[int, list[str]]], column: str, error_cls: type[MigrentError]) -> Iterator:
+    """``(line, key, fields)`` for ``read_table``'s rows, keyed by the stripped first field,
+    named ``column``: a key must be non-empty and not repeat an earlier row's."""
+    first_line: dict[str, int] = {}
+    for line, row in rows:
+        key = row[0].strip()
+        if not key:
+            raise error_cls(f"{column} must be non-empty", line=line)
+        if key in first_line:
+            raise error_cls(f"duplicate {column} {key!r} (first on line {first_line[key]})", line=line)
+        first_line[key] = line
+        yield line, key, row
 
 
 def write_table(path, columns: Iterable[str], rows: Iterable[Iterable]) -> None:

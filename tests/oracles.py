@@ -313,3 +313,24 @@ def machine_values_ref(t, u, targets, a: float, m: float, peak: float, ls: float
         chosen = vs_ls if baseline == "lift-and-shift" else vs_sr
         rows.append((static, combined, *chosen, *vs_ls, *vs_sr))
     return np.array(rows, dtype=np.float64)
+
+
+def size_bins_ref(machines, bin_count: int) -> list[dict]:
+    """``group_by_size`` from ``(datacenter_id, lift_and_shift)`` pairs: the
+    datacenters sorted by (machine count, id), then cut by a cursor into
+    ``min(bin_count, datacenters)`` contiguous bins, the first
+    ``datacenters % bins`` of them one datacenter larger."""
+    by_dc: dict = {}
+    for dc, ls in machines:
+        by_dc.setdefault(dc, []).append(ls)
+    rows = sorted((len(values), dc, float(np.mean(values))) for dc, values in by_dc.items())
+    bins = min(bin_count, len(rows))
+    out, cursor = [], 0
+    for b in range(bins):
+        width = len(rows) // bins + (1 if b < len(rows) % bins else 0)
+        chunk = rows[cursor:cursor + width]
+        cursor += width
+        means = [row[2] for row in chunk]
+        out.append({"bin": b + 1, "datacenters": len(chunk), "machines": sum(row[0] for row in chunk),
+                    "mean": float(np.mean(means)), "min": min(means), "max": max(means)})
+    return out

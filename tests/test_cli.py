@@ -857,6 +857,22 @@ class TestEntrypoints:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
         return env
 
+    @pytest.mark.parametrize("command", ["analyze", "fleet"])
+    def test_target_below_the_floor_is_one_json_error(self, data_dir, corpus, tmp_path, command):
+        # a child process, so any numpy warning would reach its stderr
+        if command == "analyze":
+            args = ["analyze", str(data_dir / "const-04.csv"), "old-box", "--catalog", str(data_dir / "catalog.csv")]
+        else:
+            args = ["fleet", str(corpus / "manifest.csv"), "--jobs", "1", "--emit-csv", str(tmp_path / "csv")]
+        proc = subprocess.run([sys.executable, "-m", "migrent", *args, "--targets", "0.5,1e-308"],
+                              capture_output=True, text=True, env=self.child_env())
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1
+        assert error_payload(proc.stderr) == {
+            "type": "MigrentError", "message": "target utilization must be at least 1e-06, got 1e-308",
+        }
+        assert not (tmp_path / "csv").exists()
+
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -44,6 +44,7 @@ from migrent import (
 from migrent.report import dumps_stable, format_float
 
 from conftest import ODD_FLOATS, ODD_TEXT, POSIX_2016_06_01, constant_trace, make_trace
+from oracles import size_bins_ref
 
 
 def fake_report(
@@ -496,6 +497,14 @@ class TestGroupBySize:
 
     def test_no_machines_no_bins(self):
         assert group_by_size([], 7) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3), max_size=45), bin_count=st.integers(1, 50), data=st.data())
+    def test_matches_the_cursor_loop(self, sizes, bin_count, data):
+        ls_by_dc = {f"dc{d:03d}": data.draw(FRACTIONS) for d in range(len(sizes))}
+        reports = self.make_dcs(sizes, ls_by_dc)
+        machines = [(r.datacenter_id, r.lift_and_shift) for r in reports]
+        assert group_by_size(reports, bin_count) == size_bins_ref(machines, bin_count)
 
 
 class TestUtilizationByRelease:

@@ -35,10 +35,12 @@ from migrent import (
 )
 from migrent.scenarios import (
     _MAX_HOURS,
+    MIN_TARGET,
     _capacity_energy,
     _hour_moments,
     _resized_energy,
     _sample_moments,
+    check_targets,
     machine_columns,
 )
 
@@ -436,6 +438,19 @@ class TestAnalyzeMachine:
     def test_empty_targets_rejected(self, model, small_catalog, record):
         with pytest.raises(ValueError):
             analyze_machine(record, [], model, small_catalog)
+
+    @pytest.mark.parametrize("target", [MIN_TARGET / 2, 1e-308, 5e-324])
+    def test_targets_below_the_floor_rejected(self, target):
+        with pytest.raises(ValueError, match=f"^target utilization must be at least 1e-06, got {target}$"):
+            check_targets([0.5, target])
+
+    def test_smallest_target_on_the_longest_span_stays_finite(self, model, small_catalog):
+        # fractions grow like 1/target; the hourly numerator also with the hours covered
+        trace = make_trace([0.0, (_MAX_HOURS - 1) * 3600.0], [0.2, 0.4])
+        assert check_targets([MIN_TARGET]) == [1e-6]
+        columns = machine_columns(MachineRecord("test", trace, "old-box"), [MIN_TARGET, 1.0], model, small_catalog,
+                                  min_days=2)
+        assert np.isfinite(columns.values).all()
 
     def test_coverage_warning_for_gaps(self, model, small_catalog):
         t = POSIX_2016_06_01 + np.concatenate(
