@@ -381,9 +381,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_INSUFFICIENT_DATA, exc)
     except FleetError as exc:
         return _fail(EXIT_ALL_FAILED, exc)
-    except (MigrentError, ValueError) as exc:
-        return _fail(EXIT_USAGE, exc)
-    except OSError as exc:
+    except (MigrentError, ValueError, OSError) as exc:
         return _fail(EXIT_USAGE, exc)
 
 

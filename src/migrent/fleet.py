@@ -407,7 +407,7 @@ def write_csv_reports(report: FleetReport, out_dir) -> list[Path]:
         written.append(path)
 
     for (scenario, target), points in _cell_cdfs(report):
-        path = out / f"cdf_{scenario}_{target:g}.csv"
+        path = out / f"cdf_{scenario}_{format_float(target)}.csv"
         write_table(path, ("value", "cumulative_probability"), ([_fmt(v) for v in p] for p in points))
         written.append(path)
 

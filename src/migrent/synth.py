@@ -9,7 +9,6 @@ reproduces the same bytes on disk.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,18 +18,13 @@ import numpy as np
 from .catalog import Catalog, bundled_catalog
 from .fleet import ManifestEntry, write_manifest
 from .scenarios import _MAX_HOURS
-from .trace import UtilizationTrace, parse_timestamp, write_trace
+from .trace import STAMP_RANGE, UtilizationTrace, parse_timestamp, write_trace
 
 DEFAULT_START = "2016-06-01T00:00:00Z"
 
 _SECONDS_PER_DAY = 86400.0
 _ALLOWED_PERIODS = (20, 30)
 _MAX_DAYS = _MAX_HOURS // 24  # about ten years, the longest span the hourly scenario analyzes
-# the stamps a trace file can hold: datetime's, from the year 1 to the end of 9999
-_STAMP_SPAN = (
-    dt.datetime.min.replace(tzinfo=dt.timezone.utc).timestamp(),
-    dt.datetime.max.replace(tzinfo=dt.timezone.utc).timestamp(),
-)
 
 # Each drawn knob's rule, written once: the name of its ParamRanges range, the
 # SynthParams field a draw sets, and the least and greatest value it may take.
@@ -213,7 +207,7 @@ def check_start(start: str | float, fleet: list[SynthMachine]) -> float:
     except ValueError:
         raise ValueError(f"start must be an ISO-8601 timestamp, got {start!r}") from None
     days = max((machine.params.duration_days for machine in fleet), default=0)
-    lo, hi = _STAMP_SPAN
+    lo, hi = STAMP_RANGE
     if not (lo <= start_s and start_s + days * _SECONDS_PER_DAY <= hi):  # NaN fails too
         raise ValueError(
             f"start must be in the years 1 to 9999 with room for the longest trace ({days} days), got {start!r}"

@@ -50,8 +50,8 @@ def read_table(
         stream = source
     else:
         data = source if isinstance(source, bytes) else read_bytes(source, error_cls, what)
-        # decodes in the same chunks as a file opened in text mode
-        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        # decodes in the same chunks as a file opened in text mode; a leading BOM is dropped
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     reader = csv.reader(stream)
     line = 0  # the last line read; a csv or decode error belongs to the next
     try:

@@ -28,6 +28,9 @@ DEFAULT_MIN_DAYS = 7
 _UTC = dt.timezone.utc
 _SECONDS_PER_DAY = 86400.0
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# the instants a trace may hold, in POSIX seconds: from 0001-01-01T00:00:00Z
+# up to, but not including, 10000-01-01T00:00:00Z (the years datetime has)
+STAMP_RANGE = (-62_135_596_800.0, 253_402_300_800.0)
 
 # numpy 2 renamed trapz; fall back for older installs
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -37,8 +40,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 class UtilizationTrace:
     """A machine's utilization samples as parallel read-only float arrays.
 
-    ``times`` holds POSIX seconds (UTC) and must be strictly increasing;
-    ``values`` holds utilization fractions in [0, 1].
+    ``times`` holds POSIX seconds (UTC) in ``STAMP_RANGE`` and must be
+    strictly increasing; ``values`` holds utilization fractions in [0, 1].
     """
 
     machine_id: str
@@ -56,8 +59,9 @@ class UtilizationTrace:
             raise TraceError(f"a trace needs at least 2 samples, got {times.size}")
         # min and max are NaN if any value is, and NaN fails every comparison,
         # so these reductions also reject NaN without a full-size mask
-        if not (np.isfinite(times.min()) and np.isfinite(times.max())):
-            raise TraceError("timestamps must be finite")
+        first, end = STAMP_RANGE
+        if not (times.min() >= first and times.max() < end):
+            raise TraceError("timestamps must be finite and in the years 1 to 9999 (UTC)")
         if not (times[1:] > times[:-1]).all():
             raise TraceError("timestamps must be strictly increasing")
         if not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -134,11 +138,14 @@ def _parse_rows(source, machine_id: str) -> UtilizationTrace:
     times: list[float] = []
     values: list[float] = []
     prev = -math.inf
+    first, end = STAMP_RANGE
     for line, (stamp_text, percent_text) in read_table(source, TRACE_COLUMNS, TraceError, "trace"):
         try:
             stamp = parse_timestamp(stamp_text)
         except ValueError:
             raise TraceError(f"bad timestamp {stamp_text!r}", line=line) from None
+        if not first <= stamp < end:
+            raise TraceError(f"timestamp {stamp_text} is outside the years 1 to 9999 (UTC)", line=line)
         try:
             percent = float(percent_text)
         except ValueError:
@@ -327,10 +334,6 @@ def write_trace(trace: UtilizationTrace, dest) -> None:
     ``dest`` may be a path or an open text stream. Rows are made and written
     ``_BLOCK_ROWS`` at a time, so memory does not grow with the trace.
     """
-    # every stamp between two that format does too, so a trace with a stamp
-    # that cannot be written fails before anything is written
-    format_timestamp(float(trace.times[0]))
-    format_timestamp(float(trace.times[-1]))
     blocks = (
         _format_rows(trace.times[i : i + _BLOCK_ROWS], trace.values[i : i + _BLOCK_ROWS])
         for i in range(0, len(trace), _BLOCK_ROWS)

@@ -21,7 +21,7 @@ import migrent
 from migrent import write_trace
 from migrent.cli import _usable_cpus, main
 from migrent.report import dumps_stable
-from migrent.trace import format_timestamp
+from migrent.trace import STAMP_RANGE, format_timestamp
 
 from conftest import POSIX_2016_06_01, constant_trace, far_stamp_trace
 
@@ -136,6 +136,16 @@ class TestAnalyze:
         payload = error_payload(err)
         assert payload["type"] == "TraceError"
         assert "below the timestamps' resolution" in payload["message"]
+
+    def test_offset_stamp_before_year_1_exits_2(self, capsys, data_dir, tmp_path):
+        path = tmp_path / "year-1.csv"
+        path.write_text("timestamp,cpu_utilization_percent\n0001-01-01T00:00:00+01:00,10\n0001-01-01T00:00:30Z,20\n")
+        code, out, err = run(capsys, "analyze", str(path), "old-box", "--catalog", str(data_dir / "catalog.csv"))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert error_payload(err) == {
+            "type": "TraceError",
+            "message": "line 2: timestamp 0001-01-01T00:00:00+01:00 is outside the years 1 to 9999 (UTC)",
+        }
 
     def test_zero_baseline_energy_exits_2(self, capsys, data_dir):
         code, out, err = run(
@@ -790,10 +800,13 @@ def _stamp(posix: float, offset_hours: int = 0) -> str:
 @st.composite
 def malformed_traces(draw) -> bytes:
     """A trace file no reader may accept, as bytes."""
-    kind = draw(st.sampled_from(["bytes", "truncated", "non-finite", "huge", "duplicate", "offset"]))
+    kind = draw(st.sampled_from(["bytes", "truncated", "non-finite", "huge", "duplicate", "offset", "offset-range"]))
     if kind == "bytes":
         return draw(st.binary(max_size=2048))
     times = POSIX_2016_06_01 + 3600.0 * np.arange(_HOURLY_ROWS)
+    if kind == "offset-range":  # the rows moved to year 1 from its first hour, or to year 9999 up to its last
+        early = draw(st.booleans())
+        times += (STAMP_RANGE[0] if early else STAMP_RANGE[1] - 3600.0 * _HOURLY_ROWS) - times[0]
     rows = [f"{_stamp(t)[:19]}Z,{draw(st.integers(0, 100))}" for t in times]
     i = draw(st.integers(1, _HOURLY_ROWS - 1))
     stamp, percent = rows[i].split(",")
@@ -807,6 +820,10 @@ def malformed_traces(draw) -> bytes:
         rows[i] = f"{big},{percent}"
     elif kind == "duplicate":
         rows[i] = f"{rows[i - 1].split(',')[0]},{percent}"
+    elif kind == "offset-range":  # the first or last stamp, its offset moving its instant out of the years 1 to 9999
+        hours = draw(st.integers(1, 14))
+        i = 0 if early else _HOURLY_ROWS - 1
+        rows[i] = f"{rows[i][:19]}{'+' if early else '-'}{hours:02d}:00,{rows[i].split(',')[1]}"
     else:  # the previous instant in another zone, or an offset out of range
         hours = draw(st.integers(-12, 14).filter(bool))
         shifted = _stamp(times[i - 1], hours)

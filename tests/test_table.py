@@ -1,11 +1,12 @@
 """The shared CSV table reader, through each of the four loaders built on it."""
 
+import codecs
 import io
 
 import pytest
 
-from migrent import CatalogError, ManifestError, MigrentError, TraceError
-from migrent.catalog import load_catalog
+from migrent import CatalogError, ManifestError, MigrentError, TraceError, UtilizationTrace
+from migrent.catalog import Catalog, load_catalog
 from migrent.energy import load_power_samples
 from migrent.fleet import load_manifest
 from migrent.table import read_table, write_table
@@ -80,6 +81,34 @@ def test_oversized_field_raises_the_loaders_error_with_line(load, error_cls, goo
     path.write_bytes(good + b"x" * 140_000 + b",1\n")
     with pytest.raises(error_cls, match=r"^line 3: field larger than field limit \(131072\)$"):
         load(path)
+
+
+def _by_value(loaded):
+    """A loader's result in a form that compares by value."""
+    if isinstance(loaded, UtilizationTrace):
+        return loaded.machine_id, loaded.times.tolist(), loaded.values.tolist()
+    if isinstance(loaded, Catalog):
+        return list(loaded), loaded.cloud_spec
+    return loaded
+
+
+@pytest.mark.parametrize("load, error_cls, good", LOADERS)
+def test_byte_order_mark_is_dropped(load, error_cls, good, tmp_path):
+    good += b"2016-06-01T00:00:30Z,6\n" if load is parse_trace else b""  # a trace needs two rows
+    plain, marked = tmp_path / "t.csv", tmp_path / "bom" / "t.csv"
+    marked.parent.mkdir()
+    plain.write_bytes(good)
+    marked.write_bytes(codecs.BOM_UTF8 + good)
+    assert _by_value(load(marked)) == _by_value(load(plain))
+
+
+@pytest.mark.parametrize("load, error_cls, good", LOADERS)
+def test_bytes_not_utf8_after_a_byte_order_mark_keep_their_line(load, error_cls, good, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(codecs.BOM_UTF8 + good + b"\xff\xfe,\x80\n")
+    with pytest.raises(error_cls, match=r"^line 3: not UTF-8 text \(invalid start byte\)$") as info:
+        load(path)
+    assert info.value.line == 3
 
 
 def test_decode_error_in_a_stream_has_no_line():

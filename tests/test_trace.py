@@ -25,7 +25,7 @@ from migrent import (
     smooth,
     write_trace,
 )
-from migrent.trace import _BLOCK_ROWS, _parse_canonical, _parse_rows, format_timestamp, parse_timestamp
+from migrent.trace import STAMP_RANGE, _BLOCK_ROWS, _parse_canonical, _parse_rows, format_timestamp, parse_timestamp
 
 from conftest import POSIX_2016_06_01, constant_trace, make_trace
 from oracles import daily_maxima_ref, nearest_rank_ref, riemann, smooth_ref
@@ -62,6 +62,18 @@ class TestParseTrace:
                 "2016-06-01T00:00:00Z,50.0",
                 "2016-06-01T00:00:00Z,60.0",
             ]))
+
+    @pytest.mark.parametrize("rows, line", [
+        (["0001-01-01T00:00:00+01:00,50", "0001-01-01T00:00:30Z,60"], 2),
+        (["9999-12-31T23:58:00Z,50", "9999-12-31T23:59:00-01:00,60"], 3),
+    ], ids=["before year 1", "after year 9999"])
+    def test_offset_stamp_outside_the_years_1_to_9999_names_line(self, tmp_path, rows, line):
+        path = tmp_path / "t.csv"
+        path.write_text(trace_csv(rows).getvalue())
+        stamp = rows[line - 2].split(",")[0]
+        with pytest.raises(TraceError) as info:
+            parse_trace(path)
+        assert str(info.value) == f"line {line}: timestamp {stamp} is outside the years 1 to 9999 (UTC)"
 
     def test_unsorted_rejected_not_sorted(self):
         with pytest.raises(TraceError, match="not after"):
@@ -402,10 +414,20 @@ class TestWriteMatchesFormatTimestamp:
         assert peak_bytes(8) < 1.25 * peak_bytes(2)
 
     def test_unwritable_stamp_writes_nothing(self, tmp_path):
-        trace = make_trace([0.0, parse_timestamp("9999-12-31T23:59:59Z") + 1.0], [0.1, 0.2])
-        with pytest.raises(ValueError, match="year 10000 is out of range"):
-            write_trace(trace, tmp_path / "t.csv")
+        stamps = [0.0, parse_timestamp("9999-12-31T23:59:59Z") + 1.0]
+        with pytest.raises(TraceError, match="years 1 to 9999"):  # the trace cannot be made
+            write_trace(make_trace(stamps, [0.1, 0.2]), tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
+
+    def test_both_ends_of_the_stamp_range_round_trip(self, tmp_path):
+        first, end = STAMP_RANGE
+        trace = make_trace([first, first + 30.0, end - 30.0, end - 1.0], [0.0, 0.25, 0.5, 1.0])
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        assert path.read_text().splitlines()[1::3] == ["0001-01-01T00:00:00Z,0.0000", "9999-12-31T23:59:59Z,100.0000"]
+        back = parse_trace(path)
+        assert np.array_equal(back.times, trace.times)
+        assert np.array_equal(back.values, trace.values)
 
 
 class TestTimestampHelpers:
@@ -478,6 +500,21 @@ class TestTraceInvariants:
     def test_non_finite_timestamps_rejected(self, times):
         with pytest.raises(TraceError, match="finite"):
             make_trace(times, [0.5] * len(times))
+
+    def test_stamp_range_is_the_years_datetime_has(self):
+        utc = dt.timezone.utc
+        assert STAMP_RANGE == (dt.datetime.min.replace(tzinfo=utc).timestamp(),
+                               dt.datetime.max.replace(tzinfo=utc).timestamp())
+        assert STAMP_RANGE == (parse_timestamp("0001-01-01T00:00:00Z"), YEAR_9999_LAST + 1.0)
+
+    @pytest.mark.parametrize("times", [[-62135596800.0, 0.0], [0.0, 253402300799.0]])
+    def test_stamps_at_the_ends_of_the_range_accepted(self, times):
+        assert make_trace(times, [0.5, 0.5]).times.tolist() == times
+
+    @pytest.mark.parametrize("times", [[-62135596801.0, 0.0], [0.0, 253402300800.0]])
+    def test_stamps_outside_the_range_rejected(self, times):
+        with pytest.raises(TraceError, match=r"^timestamps must be finite and in the years 1 to 9999 \(UTC\)$"):
+            make_trace(times, [0.5, 0.5])
 
     def test_arrays_read_only(self):
         trace = make_trace([0.0, 1.0], [0.5, 0.6])
