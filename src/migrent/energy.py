@@ -141,20 +141,20 @@ def load_power_samples(source) -> list[PowerSample]:
     return samples
 
 
-def _grid_best(us: np.ndarray, ps: np.ndarray, a_grid: np.ndarray, m_grid: np.ndarray) -> tuple[float, float]:
+def _grid_best(sums: Sequence[float], a_grid: np.ndarray, m_grid: np.ndarray) -> tuple[float, float]:
     """Exhaustive SSE minimum over the (idle, mix) grid.
 
-    The squared error is quadratic in the mix for a fixed idle value, so the
-    whole grid reduces to three per-idle sums; ties resolve to the smallest
-    idle value, then the smallest mix (row-major argmin).
+    The squared error is quadratic in the mix for a fixed idle value, and its
+    three coefficients are quadratics in the idle value over the sample sums,
+    so memory does not grow with the number of samples. Ties resolve to the
+    smallest idle value, then the smallest mix (row-major argmin).
     """
-    u2 = us * us
-    # residual(a, m) = alpha(a) + m * beta(a), per sample
-    alpha = a_grid[:, None] + np.outer(1.0 - a_grid, u2) - ps[None, :]
-    beta = np.outer(1.0 - a_grid, us - u2)
-    saa = np.sum(alpha * alpha, axis=1)
-    sab = np.sum(alpha * beta, axis=1)
-    sbb = np.sum(beta * beta, axis=1)
+    sxx, sxy, sxz, syy, syz, szz = sums
+    b = 1.0 - a_grid
+    # residual(a, m) = alpha(a) + m * beta(a), with alpha = a·x + y and beta = (1 − a)·z
+    saa = a_grid * a_grid * sxx + 2.0 * a_grid * sxy + syy
+    sab = b * (a_grid * sxz + syz)
+    sbb = b * b * szz
     sse = saa[:, None] + 2.0 * np.outer(sab, m_grid) + np.outer(sbb, m_grid * m_grid)
     flat = int(np.argmin(sse))
     ai, mi = divmod(flat, m_grid.size)
@@ -177,10 +177,15 @@ def fit(samples: Sequence[PowerSample] | Iterable[PowerSample]) -> EnergyModel:
 
     a_coarse = np.arange(1000) / 1000.0          # [0, 0.999]
     m_coarse = np.arange(1001) / 1000.0          # [0, 1]
-    a0, m0 = _grid_best(us, ps, a_coarse, m_coarse)
+    # a sample's residual is a·x + y + m·(1 − a)·z, with x = 1 − u², y = u² − p
+    # and z = u − u², so both grid passes need only these six sums of products
+    u2 = us * us
+    x, y, z = 1.0 - u2, u2 - ps, us - u2
+    sums = [float(np.sum(f * g)) for f, g in ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z))]
+    a0, m0 = _grid_best(sums, a_coarse, m_coarse)
 
     steps = np.arange(-10, 11) / 10000.0
     a_fine = np.unique(np.clip(a0 + steps, 0.0, 0.9999))
     m_fine = np.unique(np.clip(m0 + steps, 0.0, 1.0))
-    a1, m1 = _grid_best(us, ps, a_fine, m_fine)
+    a1, m1 = _grid_best(sums, a_fine, m_fine)
     return EnergyModel(a1, m1)

@@ -304,15 +304,17 @@ def _ratio(numerator, denominator, machine_id: str) -> np.ndarray:
     return np.divide(numerator, denominator, out=np.zeros(np.shape(nonzero)), where=nonzero)
 
 
-def _baseline_energy(
-    trace: UtilizationTrace, model: EnergyModel, baseline: str, target: float, peak: float | None
-) -> float:
-    """Denominator of an auto-scaling fraction; the static baseline estimates a missing peak."""
+def _fraction(trace: UtilizationTrace, target: float, model: EnergyModel, baseline: str,
+              peak: float | None, numerator) -> float:
+    """``numerator(target, moments)`` over the baseline energy; a missing static-resized peak is estimated."""
+    target, baseline = _check_target(target), check_baseline(baseline)
     moments = _sample_moments(trace)
     if baseline == BASELINE_LIFT_AND_SHIFT:
-        return _capacity_energy(moments, model, 1.0)
-    peak = estimate_peak(trace) if peak is None else _check_peak(peak)
-    return _resized_energy(moments, model, peak, target)
+        denominator = _capacity_energy(moments, model, 1.0)
+    else:
+        peak = estimate_peak(trace) if peak is None else _check_peak(peak)
+        denominator = _resized_energy(moments, model, peak, target)
+    return float(_ratio(numerator(target, moments), denominator, trace.machine_id))
 
 
 def static_resize_fraction(
@@ -328,10 +330,8 @@ def static_resize_fraction(
     compares the resized instance's energy to the unresized machine's energy
     over the same trace.
     """
-    target, peak = _check_target(target), _check_peak(peak)
-    moments = _sample_moments(trace)
-    resized = _resized_energy(moments, model, peak, target)
-    return float(_ratio(resized, _capacity_energy(moments, model, 1.0), trace.machine_id))
+    return _fraction(trace, target, model, BASELINE_LIFT_AND_SHIFT, None,
+                     lambda t, moments: _resized_energy(moments, model, _check_peak(peak), t))
 
 
 def combined_fraction(
@@ -366,10 +366,8 @@ def autoscale_ideal_fraction(
     is only needed for the static-resized baseline (estimated from the trace
     with default settings when omitted).
     """
-    target = _check_target(target)
-    denominator = _baseline_energy(trace, model, check_baseline(baseline), target, peak)
-    numerator = (power_unchecked(model, target) / target) * integrate(trace)
-    return float(_ratio(numerator, denominator, trace.machine_id))
+    return _fraction(trace, target, model, baseline, peak,
+                     lambda t, _: (power_unchecked(model, t) / t) * integrate(trace))
 
 
 def hourly_capacities(trace: UtilizationTrace, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -451,13 +449,15 @@ def _hour_moments(trace: UtilizationTrace) -> _Moments:
     w[:m] *= seg_max
     w[m:] = w[:m]
     v = np.empty(2 * m)
-    np.divide(us[:-1][on], seg_max, out=v[:m])
-    np.divide(us[1:][on], seg_max, out=v[m:])
+    with np.errstate(over="ignore"):  # a boundary over a tiny maximum; capped below
+        np.divide(us[:-1][on], seg_max, out=v[:m])
+        np.divide(us[1:][on], seg_max, out=v[m:])
     del us, seg_max, on
 
     if m and v.max() > 1.0:
         over = v > 1.0
         high_v, high_w = v[over], w[over]
+        np.minimum(high_v, 1e300, out=high_v)  # above any 1 / target; (w·v)·v stays finite, as w·v <= 1800
         np.logical_not(over, out=over)
         v = v[over]  # one at a time, so that only one old array is alive beside its copy
         w = w[over]
@@ -488,10 +488,8 @@ def autoscale_hourly_fraction(
     :func:`hourly_capacities`; demand above it is clamped at full load.
     Hours with capacity 0 contribute no energy.
     """
-    target = _check_target(target)
-    denominator = _baseline_energy(trace, model, check_baseline(baseline), target, peak)
-    numerator = _capacity_energy(_hour_moments(trace), model, 1.0 / target)
-    return float(_ratio(numerator, denominator, trace.machine_id))
+    return _fraction(trace, target, model, baseline, peak,
+                     lambda t, _: _capacity_energy(_hour_moments(trace), model, 1.0 / t))
 
 
 def _gap_warnings(trace: UtilizationTrace) -> tuple[str, ...]:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,31 @@ class TestFit:
         a_ref, m_ref = fit_ref(u, p)
         assert fitted.idle_fraction == pytest.approx(a_ref, abs=1e-12)
         assert fitted.linear_mix == pytest.approx(m_ref, abs=1e-12)
+
+    def test_random_samples_match_grid_oracle(self):
+        # a third on 0.1-spaced utilizations; exact, nearly exact and noisy powers for each kind
+        rng = np.random.default_rng(47)
+        for k in range(21):
+            n = int(rng.integers(3, 41))
+            u = rng.integers(0, 11, n) / 10.0 if k % 3 == 0 else rng.uniform(0.0, 1.0, n)
+            u[:2] = 0.2, 0.9  # two distinct utilizations
+            noise = (0.0, 1e-6, 0.02)[(k // 3) % 3]
+            p = np.clip(curve(rng.uniform(0.0, 0.9), rng.uniform(), u) + rng.normal(0.0, noise, n), 1e-6, None)
+            fitted = fit([PowerSample(float(a), float(b)) for a, b in zip(u, p)])
+            assert (fitted.idle_fraction, fitted.linear_mix) == fit_ref(u, p), k
+
+    def test_memory_does_not_grow_with_the_samples(self):
+        rng = np.random.default_rng(48)
+        u = rng.uniform(0.0, 1.0, 10_000)
+        p = np.clip(curve(0.3, 0.4, u) + rng.normal(0.0, 0.02, u.size), 1e-6, None)
+        samples = [PowerSample(float(a), float(b)) for a, b in zip(u, p)]
+        tracemalloc.start()
+        try:
+            fit(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # grid-by-sample matrices took about 241 MB at this size
 
     def test_samples_at_single_utilization_rejected(self):
         samples = [PowerSample(0.5, 0.5), PowerSample(0.5, 0.6), PowerSample(0.5, 0.55)]

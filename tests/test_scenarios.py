@@ -90,8 +90,9 @@ class TestStaticResize:
     def test_invalid_target_rejected(self, model):
         trace = constant_trace(0.4)
         for bad in (0.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                static_resize_fraction(trace, bad, model, peak=0.4)
+            for peak in (0.4, 2.0):  # a bad target is reported before a bad peak
+                with pytest.raises(ValueError, match=f"^target utilization must be in \\(0, 1\\], got {bad}$"):
+                    static_resize_fraction(trace, bad, model, peak=peak)
 
     def test_monotone_in_target_below_marginal_threshold(self, model):
         trace = constant_trace(0.4)
@@ -451,6 +452,22 @@ class TestAnalyzeMachine:
         columns = machine_columns(MachineRecord("test", trace, "old-box"), [MIN_TARGET, 1.0], model, small_catalog,
                                   min_days=2)
         assert np.isfinite(columns.values).all()
+
+    @pytest.mark.parametrize("tiny", [1e-320, 1e-304])
+    def test_boundary_over_a_tiny_hour_maximum_stays_finite(self, model, small_catalog, tiny):
+        # the 01:00 boundary, ~0.5, over the first hour's maximum overflows the
+        # divide (subnormal) or (w·v)·v (normal); the report is the one with
+        # that hour off, and no overflow warning is raised
+        times = [0.0, 1800.0, 5400.0] + [d * 86400.0 + 1800.0 for d in range(1, 9)]
+
+        def record(first_hour):
+            trace = make_trace(POSIX_2016_06_01 + np.array(times), [first_hour] * 2 + [1.0] + [0.5] * 8)
+            return MachineRecord("test", trace, "old-box")
+
+        for baseline in BASELINES:
+            reports = [analyze_machine(record(u), [0.5, 1e-6, 1.0], model, small_catalog, baseline, min_days=1)
+                       for u in (tiny / 100.0, 0.0)]
+            assert repr(reports[0].to_dict()) == repr(reports[1].to_dict()), baseline
 
     def test_coverage_warning_for_gaps(self, model, small_catalog):
         t = POSIX_2016_06_01 + np.concatenate(
