@@ -6,7 +6,8 @@ inspect CPU data. Results go to stdout as JSON (or plain text where noted);
 errors go to stderr as a one-object JSON document.
 
 Exit codes: 0 success, 2 bad arguments or malformed input, 3 not enough
-days of data for peak estimation, 4 every machine in a fleet failed.
+days of data for peak estimation, 4 every machine in a fleet failed, 141
+(128 + SIGPIPE) stdout closed early, with an empty stderr.
 Option precedence: command-line flag, then ``--config`` file, then the
 built-in default. The ``MIGRENT_CATALOG`` environment variable supplies a
 catalog path when ``--catalog`` is absent; the bundled fictional catalog is
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT_DATA = 3
 EXIT_ALL_FAILED = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 def _usable_cpus() -> int:
@@ -376,7 +378,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed stdout fails here at the latest, not at exit
+        return code
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:  # takes what the flush at exit would write to the pipe
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except InsufficientDataError as exc:
         return _fail(EXIT_INSUFFICIENT_DATA, exc)
     except FleetError as exc:

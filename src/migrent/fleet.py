@@ -98,8 +98,8 @@ def _analyze_entry(
 class FleetReport:
     """Aggregated fleet results plus each machine's, as columns in machine-id order.
 
-    ``reports`` builds the machines' ``ScenarioReport`` objects on first use,
-    and ``cdfs`` the distribution curves.
+    ``cdfs`` reads the rows of ``_block``, the values the means came from;
+    ``reports`` builds the machines' ``ScenarioReport`` objects on first use.
     """
 
     baseline: str
@@ -109,6 +109,7 @@ class FleetReport:
     means: tuple[dict, ...]
     size_bins: tuple[dict, ...]
     utilization_by_release: tuple[dict, ...]
+    _block: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def reports(self) -> tuple[ScenarioReport, ...]:
@@ -154,13 +155,11 @@ def cdf(values: Sequence[float]) -> list[tuple[float, float]]:
 
 
 def _cell_cdfs(report: FleetReport) -> Iterator[tuple[tuple[str, float], list[tuple[float, float]]]]:
-    """Each (scenario, target) cell with a value and its ``cdf``, by scenario then target, one at a time."""
-    block = _block(report.columns, report.targets)
-    cells = [(scenario, target) for target in report.targets for scenario in SCENARIO_NAMES]
-    for row, cell in sorted(enumerate(cells), key=lambda item: item[1]):
-        values = block[row][~np.isnan(block[row])]
+    """Each (scenario, target) cell with a value and its ``cdf`` from the report's block, by scenario then target."""
+    for scenario, target, row in sorted((m["scenario"], m["target"], i) for i, m in enumerate(report.means)):
+        values = report._block[row][~np.isnan(report._block[row])]
         if values.size:
-            yield cell, cdf(values)
+            yield (scenario, target), cdf(values)
 
 
 def _group(values: Iterable, keys: Iterable) -> dict[object, list]:
@@ -183,13 +182,12 @@ def _block(columns: Sequence[MachineColumns], targets: Sequence[float]) -> np.nd
     """The machines' values as one C-contiguous block, NaN where a value is undefined.
 
     A row per (target, scenario) cell, in mean-table order, and a column per
-    machine, in the order of ``columns``.
+    machine, in the order of ``columns``; allocated once, filled in one copy.
     """
-    machines = [c.machine for c in columns]
-    return np.concatenate((
-        np.broadcast_to([m.lift_and_shift for m in machines], (len(targets), 1, len(machines))),
-        np.stack([c.scenario_values() for c in columns], axis=-1),
-    ), axis=1).reshape(-1, len(machines))
+    block = np.empty((len(targets), len(SCENARIO_NAMES), len(columns)))
+    block[:, 0] = [c.machine.lift_and_shift for c in columns]
+    np.stack([c.values[:, :4] for c in columns], axis=-1, out=block[:, 1:])  # the other scenarios (MachineColumns)
+    return block.reshape(-1, len(columns))
 
 
 def _row_means(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,15 +196,13 @@ def _row_means(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows without NaN take one ``np.mean(axis=1)``, which over a C-contiguous
     block sums each row pairwise as ``np.mean`` over the row alone does, so
     the last bits agree; ``np.bincount`` and ``np.add.reduceat`` would not,
-    nor would the same mean over a column-major block such as
-    ``block[:, group]``, which is therefore copied first.
+    nor would a column-major ``block[:, group]``: pass ``block.take(group, axis=1)``.
     """
-    block = np.ascontiguousarray(block)
-    present = ~np.isnan(block)
-    counts = present.sum(axis=1)
+    missing = np.isnan(block)
+    counts = block.shape[1] - missing.sum(axis=1)
     means = np.mean(block, axis=1)  # NaN for every row holding NaN
     for i in np.flatnonzero((counts < block.shape[1]) & (counts > 0)):
-        means[i] = np.mean(block[i, present[i]])  # the row's values compacted
+        means[i] = np.mean(block[i, ~missing[i]])  # the row's values compacted
     return means, counts
 
 
@@ -217,9 +213,9 @@ def _summarize(
     """The fleet tables from per-machine columns: the kernel of ``aggregate`` and ``analyze_manifest``.
 
     The values form one block with a row per (target, scenario) cell, in
-    mean-table order, and a column per machine, in machine-id order. For the
-    datacenter means its columns are regrouped into one block per
-    datacenter, in order of each one's first machine.
+    mean-table order, and a column per machine, in machine-id order, and the
+    report keeps it. For the datacenter means its columns are regrouped, by
+    ``take``, into one block per datacenter, in order of its first machine.
     """
     columns = tuple(sorted(columns, key=lambda c: c.machine.machine_id))
     machines = [c.machine for c in columns]
@@ -227,7 +223,7 @@ def _summarize(
 
     machine_means, counts = _row_means(block)
     groups = _group(range(len(machines)), _datacenters(machines)).values()
-    dc_means, _ = _row_means(np.stack([_row_means(block[:, group])[0] for group in groups], axis=-1))
+    dc_means, _ = _row_means(np.stack([_row_means(block.take(group, axis=1))[0] for group in groups], axis=-1))
     cells = [(target, scenario) for target in targets for scenario in SCENARIO_NAMES]
     means = tuple(
         {"target": t, "scenario": s, "machine_mean": None if m != m else m,
@@ -235,7 +231,7 @@ def _summarize(
         for (t, s), m, d, n in zip(cells, machine_means.tolist(), dc_means.tolist(), counts.tolist())
     )
     return FleetReport(baseline, targets, columns, tuple(exclusions), means, tuple(group_by_size(machines)),
-                       tuple(utilization_by_release(machines, catalog)))
+                       tuple(utilization_by_release(machines, catalog)), block)
 
 
 def aggregate(

@@ -178,10 +178,6 @@ class MachineColumns:
                            *(row.autoscale_vs[b][k] for b in BASELINES for k in ("ideal", "hourly"))])
         return cls(replace(report, targets=()), np.array(values, dtype=np.float64))  # None becomes NaN
 
-    def scenario_values(self) -> np.ndarray:
-        """Each target's static_resize, combined, autoscale_ideal and autoscale_hourly, as in the report."""
-        return self.values[:, :4]
-
     def to_report(self, targets: Sequence[float]) -> ScenarioReport:
         """The full report, ``targets`` naming the rows of ``values``."""
         rows = []

@@ -24,11 +24,11 @@ from .errors import MigrentError
 
 
 def read_bytes(path, error_cls: type[MigrentError], what: str) -> bytes:
-    """The raw contents of ``path``; an unreadable file raises ``error_cls``."""
+    """The raw contents of ``path``; an unreadable file, or a path holding a NUL byte, raises ``error_cls``."""
     path = Path(path)
     try:
         return path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise error_cls(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -245,15 +245,21 @@ class TestFleet:
         assert code_a == code_b == 0
         assert out_a == out_b
 
-    def test_jobs_flag_gives_same_output(self, capsys, corpus):
+    def test_jobs_flag_gives_same_output(self, capsys, corpus, tmp_path):
         targets = [(k + 1) / 100 for k in range(100)]
         base = ("fleet", str(corpus / "manifest.csv"), "--targets", ",".join(map(str, targets)))
-        _, out_seq, _ = run(capsys, *base, "--jobs", "1")
-        _, out_par, _ = run(capsys, *base, "--jobs", "2")
+        _, out_seq, _ = run(capsys, *base, "--jobs", "1", "--emit-csv", str(tmp_path / "seq"))
+        _, out_par, _ = run(capsys, *base, "--jobs", "2", "--emit-csv", str(tmp_path / "par"))
         entries = migrent.load_manifest(corpus / "manifest.csv")
         fleet = migrent.analyze_manifest(entries, corpus, migrent.bundled_catalog(), migrent.EnergyModel(), targets)
         # the streaming writer against the whole-tree renderer
         assert out_seq == out_par == dumps_stable(fleet.to_dict())
+        # the three tables and a CDF per scenario and target, byte for byte
+        names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+        assert len(names) == 3 + 5 * len(targets)
+        assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+        for name in names:
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes(), name
 
     def test_partial_failure_is_excluded(self, capsys, corpus, tmp_path):
         manifest = (corpus / "manifest.csv").read_text()
@@ -889,6 +895,25 @@ class TestEntrypoints:
             "type": "MigrentError", "message": "target utilization must be at least 1e-06, got 1e-308",
         }
         assert not (tmp_path / "csv").exists()
+
+    @pytest.mark.parametrize("command", ["catalog", "fleet"])
+    def test_closed_stdout_exits_141_quietly(self, corpus, command):
+        args = ["catalog", "list"] if command == "catalog" else ["fleet", str(corpus / "manifest.csv"), "--jobs", "1"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nothing will read what the child writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "migrent", *args], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=self.child_env())
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
+    def test_closed_stdout_in_process(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["catalog", "list"]) == 141
 
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

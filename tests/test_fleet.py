@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from migrent import (
 )
 
 from migrent.report import dumps_stable, format_float
+from migrent.scenarios import MachineColumns
 
 from conftest import ODD_FLOATS, ODD_TEXT, POSIX_2016_06_01, constant_trace, make_trace
 from oracles import size_bins_ref
@@ -565,13 +567,16 @@ class TestAnalyzeManifest:
         broken = entries[:3] + [
             ManifestEntry("ghost", "traces/ghost.csv", entries[0].cpu_model, "dc-x"),
             ManifestEntry("wrong-cpu", entries[0].trace_path, "not-a-cpu", "dc-x"),
+            ManifestEntry("nul", "traces/m\0.csv", entries[0].cpu_model, "dc-x"),  # no OS takes this path
         ]
-        fleet = analyze_manifest(broken, fleet_dir, bundled_catalog(), model, [0.8])
-        assert len(fleet.reports) == 3
-        reasons = {e.machine_id: e.reason for e in fleet.exclusions}
-        assert set(reasons) == {"ghost", "wrong-cpu"}
-        assert "ghost.csv" in reasons["ghost"]
-        assert "not-a-cpu" in reasons["wrong-cpu"]
+        for jobs in (1, 2):
+            fleet = analyze_manifest(broken, fleet_dir, bundled_catalog(), model, [0.8], jobs=jobs)
+            assert len(fleet.reports) == 3
+            reasons = {e.machine_id: e.reason for e in fleet.exclusions}
+            assert set(reasons) == {"ghost", "wrong-cpu", "nul"}
+            assert "ghost.csv" in reasons["ghost"]
+            assert "not-a-cpu" in reasons["wrong-cpu"]
+            assert reasons["nul"].endswith("embedded null byte")
 
     def test_window_below_stamp_resolution_is_excluded(self, fleet_dir, tmp_path, model):
         from migrent import bundled_catalog
@@ -750,3 +755,35 @@ class TestWriteCsvReports:
         with (tmp_path / "mean_table.csv").open() as f:
             rows = {r[1]: r for r in csv.reader(f)}
         assert rows["static_resize"][2] == ""
+
+
+class TestBlockMemory:
+    def test_summary_and_csv_peaks_per_machine(self, small_catalog, tmp_path):
+        # 100 targets make a block of 500 float64 rows, 4,000 B a machine, which
+        # the report keeps. The datacenter means add a copy of one datacenter's
+        # columns and a row of means per datacenter; 20 datacenters of 30
+        # machines keep each near 250 B a machine, as the paper's ~300
+        # datacenters of ~130 machines do.
+        machines, targets = 600, tuple((k + 1) / 100 for k in range(100))
+        rng = np.random.default_rng(4)
+        columns = []
+        for i in range(machines):
+            values = rng.uniform(0.1, 1.0, (len(targets), 8))
+            values[rng.random(len(targets)) < 0.05, 3] = np.nan  # autoscale_hourly undefined at a few targets
+            if i % 7 == 0:  # an idle machine: no resize
+                values[:, :2] = np.nan
+            report = fake_report(f"m{i:04d}", f"dc-{i % 20:02d}", ls=rng.uniform(0.2, 0.9), cpu="mid-box")
+            columns.append(MachineColumns(dataclasses.replace(report, targets=()), values))
+        tracemalloc.start()
+        try:
+            fleet = migrent.fleet._summarize(columns, [], targets, small_catalog, BASELINE_LIFT_AND_SHIFT)
+            summarize_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            written = write_csv_reports(fleet, tmp_path)
+            csv_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(written) == 503
+        assert summarize_peak <= 5_000 * machines
+        assert csv_peak <= 1_000 * machines
