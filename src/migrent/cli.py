@@ -30,6 +30,7 @@ from .energy import DEFAULT_IDLE_FRACTION, DEFAULT_LINEAR_MIX, EnergyModel
 from .errors import FleetError, InsufficientDataError, MigrentError
 from .report import check_target_names, dumps_stable, format_float
 from .scenarios import BASELINES, BASELINE_LIFT_AND_SHIFT, MachineRecord, analyze_machine, check_baseline, check_targets
+from .table import read_bytes
 from .trace import (
     DEFAULT_MIN_DAYS,
     DEFAULT_PERCENTILE,
@@ -132,11 +133,9 @@ _SETTINGS = {
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    data = read_bytes(path, MigrentError, "config")
     try:
-        with open(path, "r", encoding="utf-8") as stream:
-            config = json.load(stream)
-    except OSError as exc:
-        raise MigrentError(f"cannot read config {path}: {exc}") from exc
+        config = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, undecodable bytes or an over-long integer
         raise MigrentError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

@@ -96,20 +96,27 @@ def _analyze_entry(
 
 @dataclass(frozen=True)
 class FleetReport:
-    """Aggregated fleet results plus each machine's, as columns in machine-id order.
+    """Aggregated fleet results plus each machine's, in machine-id order.
 
-    ``cdfs`` reads the rows of ``_block``, the values the means came from;
+    ``_block`` has a row per mean-table cell and a column per machine: the
+    means and ``cdfs`` come from its rows, and ``columns`` view its columns;
     ``reports`` builds the machines' ``ScenarioReport`` objects on first use.
     """
 
     baseline: str
     targets: tuple[float, ...]
-    columns: tuple[MachineColumns, ...] = field(repr=False, compare=False)
     exclusions: tuple[Exclusion, ...]
     means: tuple[dict, ...]
     size_bins: tuple[dict, ...]
     utilization_by_release: tuple[dict, ...]
     _block: np.ndarray = field(repr=False, compare=False)
+    _machines: tuple[ScenarioReport, ...] = field(repr=False, compare=False)
+    _by_baseline: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+
+    @property
+    def columns(self) -> tuple[MachineColumns, ...]:
+        cells = self._block.reshape(len(self.targets), len(SCENARIO_NAMES), -1)  # a view
+        return tuple(map(MachineColumns, self._machines, np.moveaxis(cells[:, 1:], -1, 0), self._by_baseline))
 
     @cached_property
     def reports(self) -> tuple[ScenarioReport, ...]:
@@ -124,7 +131,7 @@ class FleetReport:
         return {
             "baseline": self.baseline,
             "targets": list(self.targets),
-            "machines_analyzed": len(self.columns),
+            "machines_analyzed": len(self._machines),
             "machines_excluded": len(self.exclusions),
             "mean_table": [dict(m) for m in self.means],
             "size_bins": [dict(b) for b in self.size_bins],
@@ -178,18 +185,6 @@ def _datacenters(reports: Sequence[ScenarioReport]) -> list[str]:
     return [report.datacenter_id or "unknown" for report in reports]
 
 
-def _block(columns: Sequence[MachineColumns], targets: Sequence[float]) -> np.ndarray:
-    """The machines' values as one C-contiguous block, NaN where a value is undefined.
-
-    A row per (target, scenario) cell, in mean-table order, and a column per
-    machine, in the order of ``columns``; allocated once, filled in one copy.
-    """
-    block = np.empty((len(targets), len(SCENARIO_NAMES), len(columns)))
-    block[:, 0] = [c.machine.lift_and_shift for c in columns]
-    np.stack([c.values[:, :4] for c in columns], axis=-1, out=block[:, 1:])  # the other scenarios (MachineColumns)
-    return block.reshape(-1, len(columns))
-
-
 def _row_means(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's mean over its non-NaN values (NaN if there are none), and their count.
 
@@ -207,31 +202,48 @@ def _row_means(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _summarize(
-    columns: Iterable[MachineColumns], exclusions: Sequence[Exclusion], targets: tuple[float, ...],
+    results: Iterable[MachineColumns | Exclusion], ranks: Sequence[int], targets: tuple[float, ...],
     catalog: Catalog, baseline: str,
 ) -> FleetReport:
-    """The fleet tables from per-machine columns: the kernel of ``aggregate`` and ``analyze_manifest``.
+    """The fleet tables from each machine's results: the kernel of ``aggregate`` and ``analyze_manifest``.
 
-    The values form one block with a row per (target, scenario) cell, in
-    mean-table order, and a column per machine, in machine-id order, and the
-    report keeps it. For the datacenter means its columns are regrouped, by
-    ``take``, into one block per datacenter, in order of its first machine.
+    Each result's values are copied into one block as the result arrives, at
+    the column ``ranks`` gives it (its machine id's place in sorted order); a
+    row per (target, scenario) cell, in mean-table order. The analyzed columns
+    are then packed in place, row by row, at the head of the buffer, a
+    C-contiguous block the report keeps. The datacenter means ``take`` each
+    datacenter's columns, in order of its first machine, unless it has them all.
     """
-    columns = tuple(sorted(columns, key=lambda c: c.machine.machine_id))
-    machines = [c.machine for c in columns]
-    block = _block(columns, targets)
+    block = np.empty((len(targets) * len(SCENARIO_NAMES), len(ranks)))
+    grid = block.reshape(len(targets), len(SCENARIO_NAMES), -1)
+    machines, by_baseline, exclusions = [None] * len(ranks), [None] * len(ranks), []
+    for rank, result in zip(ranks, results):
+        if isinstance(result, Exclusion):
+            exclusions.append(result)
+        else:  # the block takes the scenarios after lift_and_shift (MachineColumns)
+            grid[:, 1:, rank], machines[rank], by_baseline[rank] = result.values, result.machine, result.by_baseline
+    kept = np.flatnonzero([machine is not None for machine in machines])  # one index array for every row
+    if kept.size == 0:
+        raise FleetError(f"all {len(exclusions)} machines failed to analyze", exclusions)
+    if kept.size < len(ranks):
+        for i, row in enumerate(block):  # earlier rows were packed below row i; row[kept] copies it first
+            block.reshape(-1)[i * kept.size:(i + 1) * kept.size] = row[kept]
+        block = block.reshape(-1)[:len(block) * kept.size].reshape(len(block), kept.size)
+        machines, by_baseline = [machines[r] for r in kept], [by_baseline[r] for r in kept]
+    block.reshape(len(targets), len(SCENARIO_NAMES), -1)[:, 0] = [m.lift_and_shift for m in machines]
 
     machine_means, counts = _row_means(block)
     groups = _group(range(len(machines)), _datacenters(machines)).values()
-    dc_means, _ = _row_means(np.stack([_row_means(block.take(group, axis=1))[0] for group in groups], axis=-1))
+    blocks = (block if len(groups) == 1 else block.take(group, axis=1) for group in groups)
+    dc_means, _ = _row_means(np.stack([_row_means(b)[0] for b in blocks], axis=-1))
     cells = [(target, scenario) for target in targets for scenario in SCENARIO_NAMES]
     means = tuple(
         {"target": t, "scenario": s, "machine_mean": None if m != m else m,
          "datacenter_mean": None if d != d else d, "machines": n}
         for (t, s), m, d, n in zip(cells, machine_means.tolist(), dc_means.tolist(), counts.tolist())
     )
-    return FleetReport(baseline, targets, columns, tuple(exclusions), means, tuple(group_by_size(machines)),
-                       tuple(utilization_by_release(machines, catalog)), block)
+    return FleetReport(baseline, targets, tuple(exclusions), means, tuple(group_by_size(machines)),
+                       tuple(utilization_by_release(machines, catalog)), block, tuple(machines), tuple(by_baseline))
 
 
 def aggregate(
@@ -253,7 +265,7 @@ def aggregate(
         raise FleetError("no machines to aggregate", exclusions)
     targets = tuple(check_targets(targets))  # the means table has a row per target and scenario
     columns = [MachineColumns.from_report(r, targets) for r in sorted(reports, key=lambda r: r.machine_id)]
-    return _summarize(columns, exclusions, targets, catalog, baseline)
+    return _summarize([*columns, *exclusions], range(len(columns) + len(exclusions)), targets, catalog, baseline)
 
 
 def group_by_size(reports: Sequence[ScenarioReport], bin_count: int = DEFAULT_SIZE_BINS) -> list[dict]:
@@ -352,25 +364,19 @@ def analyze_manifest(
         window_seconds=window_seconds, percentile=percentile, min_days=min_days,
     )
     work = partial(_analyze_entry, base_dir=str(base_dir), analyze=analyze)
+    # each row's column: the rank of its machine id, ties in manifest order
+    ranks = np.argsort(sorted(range(len(entries)), key=lambda i: entries[i].machine_id)).tolist()
     if jobs == 1 or len(entries) <= 1:
-        results = [work(entry) for entry in entries]
-    else:
-        # imported here, as multiprocessing would add to every command's start-up
-        from concurrent.futures import ProcessPoolExecutor
+        return _summarize(map(work, entries), ranks, targets, catalog, baseline)
+    # imported here, as multiprocessing would add to every command's start-up
+    from concurrent.futures import ProcessPoolExecutor
 
-        # the pool forks all its workers at the first submit, and at most one per row has work
-        workers = min(jobs, len(entries))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # four chunks per worker, as multiprocessing.Pool.map sizes them, so no worker idles long
-            results = list(pool.map(work, entries, chunksize=-(-len(entries) // (4 * workers))))
-
-    columns = [r for r in results if isinstance(r, MachineColumns)]
-    exclusions = [r for r in results if isinstance(r, Exclusion)]
-    if not columns:
-        raise FleetError(
-            f"all {len(exclusions)} machines failed to analyze", exclusions
-        )
-    return _summarize(columns, exclusions, targets, catalog, baseline)
+    # the pool forks all its workers at the first submit, and at most one per row has work
+    workers = min(jobs, len(entries))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # four chunks per worker, as multiprocessing.Pool.map sizes them, so no worker idles long
+        return _summarize(pool.map(work, entries, chunksize=-(-len(entries) // (4 * workers))),
+                          ranks, targets, catalog, baseline)
 
 
 def _fmt(value) -> str:

@@ -101,9 +101,9 @@ def write_machines(stream, head: dict, machines, targets) -> None:
     def entry(columns) -> Raw:
         fields = columns.machine.to_dict()
         ls = json_float(columns.machine.lift_and_shift)
-        # each row of values holds a target row's fields after target and lift_and_shift, in order
-        fields["targets"] = [Raw(row % (t, ls, *["null" if v != v else json_float(v) for v in values]))
-                             for t, values in zip(target_texts, columns.values.tolist())]
+        # a row of values, then of by_baseline, holds a target row's fields after target and lift_and_shift
+        fields["targets"] = [Raw(row % (t, ls, *["null" if v != v else json_float(v) for v in values + vs]))
+                             for t, values, vs in zip(target_texts, columns.values.tolist(), columns.by_baseline.tolist())]
         return Raw("".join(iterencode(fields, " " * 4)))
 
     # pieces are joined into writes of about 64 KiB: with PYTHONUNBUFFERED or -u,

@@ -154,16 +154,19 @@ class ScenarioReport:
 class MachineColumns:
     """One machine's analysis as numbers, the form a fleet worker sends back.
 
-    ``machine`` is the report without its target rows. ``values`` has one
-    row per target, in the order the targets were given, and a column per
-    value of a report row after target and lift_and_shift, in ``to_dict``
-    order: static_resize, combined, autoscale_ideal, autoscale_hourly, then
-    the ideal and hourly fractions against each of ``BASELINES`` in turn.
-    NaN marks a value that is undefined, ``None`` in the report.
+    ``machine`` is the report without its target rows. ``values`` and
+    ``by_baseline`` have a row per target, in the order the targets were
+    given. A row of ``values`` holds the mean table's scenarios after
+    lift_and_shift (static_resize, combined, autoscale_ideal,
+    autoscale_hourly), one of ``by_baseline`` the ideal and hourly fractions
+    against each of ``BASELINES`` in turn: together, a report row's values
+    after target and lift_and_shift, in ``to_dict`` order. NaN marks a value
+    that is undefined, ``None`` in the report.
     """
 
     machine: ScenarioReport
     values: np.ndarray
+    by_baseline: np.ndarray
 
     @classmethod
     def from_report(cls, report: ScenarioReport, targets: Sequence[float]) -> MachineColumns:
@@ -176,13 +179,14 @@ class MachineColumns:
             row = rows[target]
             values.append([row.static_resize, row.combined, row.autoscale_ideal, row.autoscale_hourly,
                            *(row.autoscale_vs[b][k] for b in BASELINES for k in ("ideal", "hourly"))])
-        return cls(replace(report, targets=()), np.array(values, dtype=np.float64))  # None becomes NaN
+        table = np.array(values, dtype=np.float64)  # None becomes NaN
+        return cls(replace(report, targets=()), table[:, :4].copy(), table[:, 4:].copy())
 
     def to_report(self, targets: Sequence[float]) -> ScenarioReport:
-        """The full report, ``targets`` naming the rows of ``values``."""
+        """The full report, ``targets`` naming the rows of ``values`` and ``by_baseline``."""
         rows = []
-        for target, row in zip(targets, self.values.tolist()):
-            cells = [None if v != v else v for v in row]
+        for target, row, vs in zip(targets, self.values.tolist(), self.by_baseline.tolist()):
+            cells = [None if v != v else v for v in row + vs]
             by_baseline = {b: {"ideal": cells[i], "hourly": cells[i + 1]} for i, b in zip((4, 6), BASELINES)}
             rows.append(TargetScenarios(target, self.machine.lift_and_shift, *cells[:4], by_baseline))
         return replace(self.machine, targets=tuple(rows))
@@ -535,7 +539,7 @@ def machine_columns(
 
     shell = ScenarioReport(mid, machine.on_prem_cpu, machine.datacenter_id, baseline,
                            peak, idle, ls, (), _gap_warnings(trace))
-    return MachineColumns(shell, np.column_stack((static, combined, *chosen, *vs_ls, *vs_sr)))
+    return MachineColumns(shell, np.column_stack((static, combined, *chosen)), np.column_stack((*vs_ls, *vs_sr)))
 
 
 def analyze_machine(

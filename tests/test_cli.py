@@ -1,6 +1,7 @@
 """The command-line interface, exercised in-process through main()."""
 
 import contextlib
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import migrent
-from migrent import write_trace
+from migrent import ManifestEntry, load_manifest, write_manifest, write_trace
 from migrent.cli import _usable_cpus, main
 from migrent.report import dumps_stable
 from migrent.trace import STAMP_RANGE, format_timestamp
@@ -633,6 +634,12 @@ class TestConfigFile:
         assert error["type"] == "MigrentError"
         assert error["message"].startswith(f"config {config} is not valid JSON: ")
 
+    def test_nul_byte_in_the_config_path_cannot_be_read(self, capsys):
+        # only an in-process caller can pass it: a command line cannot hold a NUL byte
+        code, out, err = run(capsys, "catalog", "list", "--config", "a\x00b")
+        assert (code, out) == (2, "")
+        assert error_payload(err) == {"type": "MigrentError", "message": "cannot read config a\x00b: embedded null byte"}
+
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_unreadable_config_names_the_file(self, capsys, tmp_path, kind):
         config = tmp_path / "config.json"
@@ -895,6 +902,57 @@ class TestEntrypoints:
             "type": "MigrentError", "message": "target utilization must be at least 1e-06, got 1e-308",
         }
         assert not (tmp_path / "csv").exists()
+
+    def child(self, *args, **env):
+        """``python -m migrent *args`` in a child process, ``env`` added to its environment."""
+        return subprocess.run([sys.executable, "-m", "migrent", *args], capture_output=True, text=True,
+                              env={**self.child_env(), **env})
+
+    def test_duplicate_catalog_name_names_both_lines(self, tmp_path):
+        catalog = tmp_path / "dup.csv"
+        catalog.write_text("model_name,spec_score,tdp_watts,release_date,cores,cloud\n"
+                           "fx-a,1,1,2010-01-01,1,true\nfx-a,2,1,2011-01-01,1,true\n")
+        proc = self.child("catalog", "list", "--catalog", str(catalog))
+        assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
+        assert "line 3: duplicate model_name 'fx-a' (first on line 2)" in error_payload(proc.stderr)["message"]
+
+    def test_offset_stamp_before_year_1_excludes_its_machine_at_jobs_2(self, corpus, tmp_path):
+        (tmp_path / "year-1.csv").write_text(
+            "timestamp,cpu_utilization_percent\n0001-01-01T00:00:00+01:00,10\n0001-01-01T00:00:30Z,20\n")
+        good = load_manifest(corpus / "manifest.csv")[0]
+        write_manifest([dataclasses.replace(good, trace_path=str(corpus / good.trace_path)),
+                        ManifestEntry("year-1", "year-1.csv", good.cpu_model, "dc000")], tmp_path / "manifest.csv")
+        proc = self.child("fleet", str(tmp_path / "manifest.csv"), "--jobs", "2")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload = json.loads(proc.stdout)
+        assert (payload["machines_analyzed"], payload["machines_excluded"]) == (1, 1)
+        assert payload["exclusions"][0]["machine_id"] == "year-1"
+
+    @pytest.mark.parametrize("tiny", ["1e-320", "1e-304"])
+    def test_tiny_hour_maximum_warns_nothing(self, data_dir, tmp_path, tiny):
+        # an hour boundary over a subnormal hour maximum, or a normal one whose
+        # square overflows; warnings are errors, so any would reach stderr
+        rows = [f"2016-06-01T00:00:00Z,{tiny}", f"2016-06-01T00:30:00Z,{tiny}", "2016-06-01T01:30:00Z,100",
+                *(f"2016-06-0{d}T00:30:00Z,50" for d in range(2, 10))]
+        (tmp_path / "tiny.csv").write_text("timestamp,cpu_utilization_percent\n" + "\n".join(rows) + "\n")
+        write_manifest([ManifestEntry(f"tiny-{k}", "tiny.csv", "old-box", "dc000") for k in range(2)],
+                       tmp_path / "manifest.csv")
+        catalog = ["--catalog", str(data_dir / "catalog.csv")]
+        analyze = self.child("analyze", str(tmp_path / "tiny.csv"), "old-box", *catalog, "--min-days", "1",
+                             "--targets", "0.5", PYTHONWARNINGS="error::RuntimeWarning")
+        fleet = self.child("fleet", str(tmp_path / "manifest.csv"), *catalog, "--jobs", "2",
+                           PYTHONWARNINGS="error::RuntimeWarning")
+        assert (analyze.returncode, analyze.stderr) == (0, "")
+        assert (fleet.returncode, fleet.stderr) == (0, "")
+        assert json.loads(fleet.stdout)["machines_analyzed"] == 2
+
+    def test_manifest_with_a_byte_order_mark_gives_the_same_report(self, corpus, tmp_path):
+        (tmp_path / "traces").symlink_to(corpus / "traces")
+        (tmp_path / "manifest.csv").write_bytes(b"\xef\xbb\xbf" + (corpus / "manifest.csv").read_bytes())
+        plain = self.child("fleet", str(corpus / "manifest.csv"), "--jobs", "1")
+        bom = self.child("fleet", str(tmp_path / "manifest.csv"), "--jobs", "1")
+        assert (plain.returncode, plain.stderr) == (0, "")
+        assert (bom.returncode, bom.stdout, bom.stderr) == (0, plain.stdout, "")
 
     @pytest.mark.parametrize("command", ["catalog", "fleet"])
     def test_closed_stdout_exits_141_quietly(self, corpus, command):

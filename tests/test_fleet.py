@@ -35,6 +35,7 @@ from migrent import (
     group_by_size,
     load_manifest,
     nearest_rank,
+    parse_trace,
     utilization_by_release,
     write_csv_reports,
     write_fleet,
@@ -222,6 +223,14 @@ class TestAggregate:
         reports = [fake_report("m2", "dc-a", ls=0.5), fake_report("m1", "dc-a", ls=0.5)]
         fleet = aggregate(reports, [], [0.8], small_catalog)
         assert [r.machine_id for r in fleet.reports] == ["m1", "m2"]
+
+    def test_reports_sharing_a_machine_id_are_all_kept(self, small_catalog):
+        reports = [fake_report("m2", "dc-a", ls=0.5), fake_report("m1", "dc-a", ls=0.7),
+                   fake_report("m1", "dc-b", ls=0.3)]
+        fleet = aggregate(reports, [Exclusion("m1", "a third copy")], [0.8], small_catalog)
+        assert [(r.machine_id, r.lift_and_shift) for r in fleet.reports] == [("m1", 0.7), ("m1", 0.3), ("m2", 0.5)]
+        assert fleet.to_dict()["machines_analyzed"] == 3
+        assert fleet.cdfs[("lift_and_shift", 0.8)] == [(0.3, 1 / 3), (0.5, 2 / 3), (0.7, 1.0)]
 
     def test_cdfs_are_built_only_when_read(self, fleet_dir, model):
         from migrent import bundled_catalog
@@ -593,6 +602,31 @@ class TestAnalyzeManifest:
         assert exclusion.machine_id == "m2016"
         assert "below the timestamps' resolution" in exclusion.reason
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_in_any_order_give_machines_in_id_order(self, fleet_dir, model, jobs):
+        from migrent import bundled_catalog
+
+        catalog = bundled_catalog()
+        good = [dataclasses.replace(e, machine_id=new_id)
+                for e, new_id in zip(load_manifest(fleet_dir / "manifest.csv"), "dafbec")]
+
+        def ghost(machine_id):
+            return ManifestEntry(machine_id, "traces/ghost.csv", good[0].cpu_model, "dc-x")
+
+        # excluded rows first, between analyzed rows and last
+        entries = [ghost("q"), *good[:2], ghost("0"), *good[2:4], ghost("k"), *good[4:], ghost("a0")]
+        fleet = analyze_manifest(entries, fleet_dir, catalog, model, [0.5, 0.8], jobs=jobs)
+        assert [e.machine_id for e in fleet.exclusions] == ["q", "0", "k", "a0"]
+        assert [r.machine_id for r in fleet.reports] == list("abcdef")
+        assert fleet._block.flags.c_contiguous  # so take copies one datacenter's columns, not the block
+        for report, entry in zip(fleet.reports, sorted(good, key=lambda e: e.machine_id)):
+            trace = parse_trace(fleet_dir / entry.trace_path, machine_id=entry.machine_id)
+            record = MachineRecord(entry.machine_id, trace, entry.cpu_model, entry.datacenter_id)
+            assert report == analyze_machine(record, [0.5, 0.8], model, catalog)
+        stream = io.StringIO()
+        fleet.write_json(stream)
+        assert stream.getvalue() == dumps_stable(fleet.to_dict())
+
     def test_all_failures_raise(self, fleet_dir, model):
         from migrent import bundled_catalog
 
@@ -758,25 +792,32 @@ class TestWriteCsvReports:
 
 
 class TestBlockMemory:
+    MACHINES, TARGETS = 600, tuple((k + 1) / 100 for k in range(100))
+
+    def machine_columns(self, datacenters):
+        rng = np.random.default_rng(4)
+        columns = []
+        for i in range(self.MACHINES):
+            values = rng.uniform(0.1, 1.0, (len(self.TARGETS), 8))
+            values[rng.random(len(self.TARGETS)) < 0.05, 3] = np.nan  # autoscale_hourly undefined at a few targets
+            if i % 7 == 0:  # an idle machine: no resize
+                values[:, :2] = np.nan
+            report = fake_report(f"m{i:04d}", f"dc-{i % datacenters:02d}", ls=rng.uniform(0.2, 0.9), cpu="mid-box")
+            columns.append(MachineColumns(dataclasses.replace(report, targets=()), values[:, :4].copy(),
+                                          values[:, 4:].copy()))
+        return columns
+
     def test_summary_and_csv_peaks_per_machine(self, small_catalog, tmp_path):
         # 100 targets make a block of 500 float64 rows, 4,000 B a machine, which
         # the report keeps. The datacenter means add a copy of one datacenter's
         # columns and a row of means per datacenter; 20 datacenters of 30
         # machines keep each near 250 B a machine, as the paper's ~300
         # datacenters of ~130 machines do.
-        machines, targets = 600, tuple((k + 1) / 100 for k in range(100))
-        rng = np.random.default_rng(4)
-        columns = []
-        for i in range(machines):
-            values = rng.uniform(0.1, 1.0, (len(targets), 8))
-            values[rng.random(len(targets)) < 0.05, 3] = np.nan  # autoscale_hourly undefined at a few targets
-            if i % 7 == 0:  # an idle machine: no resize
-                values[:, :2] = np.nan
-            report = fake_report(f"m{i:04d}", f"dc-{i % 20:02d}", ls=rng.uniform(0.2, 0.9), cpu="mid-box")
-            columns.append(MachineColumns(dataclasses.replace(report, targets=()), values))
+        machines, targets = self.MACHINES, self.TARGETS
+        columns = self.machine_columns(20)
         tracemalloc.start()
         try:
-            fleet = migrent.fleet._summarize(columns, [], targets, small_catalog, BASELINE_LIFT_AND_SHIFT)
+            fleet = migrent.fleet._summarize(columns, range(machines), targets, small_catalog, BASELINE_LIFT_AND_SHIFT)
             summarize_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -787,3 +828,38 @@ class TestBlockMemory:
         assert len(written) == 503
         assert summarize_peak <= 5_000 * machines
         assert csv_peak <= 1_000 * machines
+
+    def test_one_datacenter_summary_peak_per_machine(self, small_catalog):
+        # a datacenter holding every machine needs no copy of the block for its means
+        columns = self.machine_columns(1)
+        tracemalloc.start()
+        try:
+            migrent.fleet._summarize(columns, range(self.MACHINES), self.TARGETS, small_catalog, BASELINE_LIFT_AND_SHIFT)
+            summarize_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summarize_peak <= 5_000 * self.MACHINES
+
+    def test_analyze_manifest_peak_per_machine(self, model, tmp_path):
+        # test_summary_and_csv_peaks_per_machine's shape, from short traces: the
+        # report keeps the block, 4,000 B a machine, and each machine's
+        # per-baseline fractions, 3,200 B; a second copy of the block's values,
+        # kept per machine or in a list of every result, would add 3,200 B more
+        from migrent import bundled_catalog
+
+        catalog = bundled_catalog()
+        cpu = next(spec.model_name for spec in catalog if not spec.cloud)
+        rng = np.random.default_rng(6)
+        stamps = POSIX_2016_06_01 + 3600.0 * np.arange(72)
+        entries = []
+        for i in range(self.MACHINES):
+            write_trace(make_trace(stamps, rng.uniform(0.05, 0.95, stamps.size)), tmp_path / f"m{i:04d}.csv")
+            entries.append(ManifestEntry(f"m{i:04d}", f"m{i:04d}.csv", cpu, f"dc-{i % 20:02d}"))
+        tracemalloc.start()
+        try:
+            fleet = analyze_manifest(entries, tmp_path, catalog, model, self.TARGETS, min_days=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(fleet.reports), fleet.exclusions) == (self.MACHINES, ())
+        assert peak <= 9_000 * self.MACHINES

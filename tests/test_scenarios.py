@@ -451,7 +451,7 @@ class TestAnalyzeMachine:
         assert check_targets([MIN_TARGET]) == [1e-6]
         columns = machine_columns(MachineRecord("test", trace, "old-box"), [MIN_TARGET, 1.0], model, small_catalog,
                                   min_days=2)
-        assert np.isfinite(columns.values).all()
+        assert np.isfinite(columns.values).all() and np.isfinite(columns.by_baseline).all()
 
     @pytest.mark.parametrize("tiny", [1e-320, 1e-304])
     def test_boundary_over_a_tiny_hour_maximum_stays_finite(self, model, small_catalog, tiny):
@@ -720,4 +720,4 @@ class TestArrayPassMatchesTargetLoop:
         peak, ls = got.machine.peak_utilization, got.machine.lift_and_shift
         assert peak == 0.0 or not idle_machine
         want = machine_values_ref(trace.times, trace.values, targets, idle, mix, peak, ls, baseline)
-        assert got.values.tobytes() == want.tobytes()
+        assert np.hstack((got.values, got.by_baseline)).tobytes() == want.tobytes()
